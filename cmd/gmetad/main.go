@@ -299,6 +299,10 @@ func main() {
 				snap.Queries, snap.CacheHits, snap.CacheMisses, snap.CacheEvictedBytes, snap.RejectedConns)
 			fmt.Printf("gmetad: %d fragment renders (%d serve-time fallbacks), render time %v of %v total work\n",
 				snap.FragmentRenders, snap.FragmentFallbacks, snap.Render, snap.Work())
+			if hosts := snap.HostsParsed + snap.HostsReused; hosts > 0 {
+				fmt.Printf("gmetad: %d HOST elements ingested, %d parsed, %d reused unchanged (%.1f%%)\n",
+					hosts, snap.HostsParsed, snap.HostsReused, 100*float64(snap.HostsReused)/float64(hosts))
+			}
 			if snap.PollFails > 0 {
 				fmt.Printf("gmetad: %d poll failures, %d failovers, %d backoffs, %d breaker trips, %d oversize reports\n",
 					snap.PollFails, snap.Failovers, snap.Backoffs, snap.BreakerTrips, snap.OversizeReports)

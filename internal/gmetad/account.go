@@ -25,6 +25,9 @@ type Accounting struct {
 	bytesIn  atomic.Int64
 	bytesOut atomic.Int64
 
+	hostsParsed atomic.Int64
+	hostsReused atomic.Int64
+
 	polls     atomic.Int64
 	pollFails atomic.Int64
 	failovers atomic.Int64
@@ -80,6 +83,13 @@ type Snapshot struct {
 
 	BytesIn  int64
 	BytesOut int64
+
+	// HostsParsed counts HOST elements the ingest paths tokenized and
+	// HostsReused those taken over unparsed from the link's previous
+	// report because their bytes had not changed; the reused share is
+	// how much of the ingest cost followed churn instead of size.
+	HostsParsed int64
+	HostsReused int64
 
 	Polls     int64
 	PollFails int64
@@ -180,6 +190,8 @@ func (a *Accounting) Snapshot() Snapshot {
 		Render:        time.Duration(a.render.Load()),
 		BytesIn:       a.bytesIn.Load(),
 		BytesOut:      a.bytesOut.Load(),
+		HostsParsed:   a.hostsParsed.Load(),
+		HostsReused:   a.hostsReused.Load(),
 		Polls:         a.polls.Load(),
 		PollFails:     a.pollFails.Load(),
 		Failovers:     a.failovers.Load(),
@@ -229,6 +241,8 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		Render:        s.Render - o.Render,
 		BytesIn:       s.BytesIn - o.BytesIn,
 		BytesOut:      s.BytesOut - o.BytesOut,
+		HostsParsed:   s.HostsParsed - o.HostsParsed,
+		HostsReused:   s.HostsReused - o.HostsReused,
 		Polls:         s.Polls - o.Polls,
 		PollFails:     s.PollFails - o.PollFails,
 		Failovers:     s.Failovers - o.Failovers,

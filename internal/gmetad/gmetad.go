@@ -666,7 +666,9 @@ func (g *Gmetad) Status() []SourceStatus {
 // the experiment harness drives rounds through it with a virtual clock.
 // Sources whose circuit breaker is open are skipped until their
 // stretched cadence comes due. When the background checkpointer is
-// configured, a due checkpoint runs after the round.
+// configured, a due checkpoint runs after the round. Rounds must not
+// overlap: a daemon is driven by Run or by PollOnce calls from one
+// goroutine at a time (each slot's poller owns that slot's host memo).
 func (g *Gmetad) PollOnce(now time.Time) {
 	for _, slot := range g.snapshotOrder() {
 		g.safePoll(slot, now)

@@ -66,46 +66,111 @@ func buildHeaderPrefix(gridName, authority string, emitDTD bool) []byte {
 // renderFragment renders one snapshot's subtree to a fragment, with the
 // snapshot's age baked into every TN. Rendering happens once per
 // snapshot generation, on the poll path; the serve path only splices.
-func renderFragment(data *sourceData, mode Mode) *sourceFragment {
-	f := &sourceFragment{epoch: data.epoch}
-	var buf bytes.Buffer
-	w := gxml.NewWriter(&buf)
+//
+// prev is the slot's previous fragment (nil for none). A host the new
+// snapshot shares with it by pointer — the ingest memo found its element
+// unchanged — and rendered at the same age is not serialized again: its
+// bytes are copied from prev's buffer, so a snapshot's render cost
+// follows what changed in it.
+func renderFragment(data *sourceData, mode Mode, prev *sourceFragment) *sourceFragment {
+	f := &sourceFragment{epoch: data.epoch, age: data.age}
+	r := fragmentRenderer{f: f, prev: prev}
+	r.buf.Grow(prev.size())
+	if prev != nil && prev.age != data.age {
+		r.prev = nil // bytes rendered at another age carry other TNs
+	}
+	r.w = gxml.NewWriter(&r.buf)
 	switch {
 	case data.kind == SourceGmond:
-		// Record cluster and host byte spans as they are written: the
-		// writer has no internal buffering, so buf.Len() is exact after
-		// every element. The spans make this fragment diffable by the
-		// subscription feed at zero extra rendering cost.
 		f.spans = make([]clusterSpan, 0, len(data.clusterOrder))
 		for _, cname := range data.clusterOrder {
 			c := data.clusters[cname]
-			cs := clusterSpan{name: cname, hosts: make([]hostSpan, 0, len(c.order))}
-			cs.open.off = buf.Len()
-			w.OpenCluster(c.meta.Name, c.meta.Owner, c.meta.URL, c.meta.LocalTime)
-			cs.open.end = buf.Len()
+			r.openCluster(&c.meta, len(c.order))
 			for _, hname := range c.order {
-				hs := hostSpan{name: hname}
-				hs.b.off = buf.Len()
-				w.HostAged(c.hosts[hname], data.age)
-				hs.b.end = buf.Len()
-				cs.hosts = append(cs.hosts, hs)
+				r.host(c.hosts[hname])
 			}
-			w.CloseCluster()
-			f.spans = append(f.spans, cs)
+			r.w.CloseCluster()
 		}
-		f.clusters = buf.Bytes()
+		f.clusters = r.buf.Bytes()
 	case mode == NLevel:
-		writeSummaryGrid(w, data)
-		f.grids = buf.Bytes()
+		writeSummaryGrid(r.w, data)
+		f.grids = r.buf.Bytes()
 	default: // OneLevel: the union of the child's data, full detail
 		for _, child := range data.grids {
-			w.GridAged(child, data.age)
+			r.grid(child)
 		}
-		f.grids = buf.Bytes()
+		f.grids = r.buf.Bytes()
 	}
 	// A bytes.Buffer destination cannot fail; Flush is a formality.
-	_ = w.Flush()
+	_ = r.w.Flush()
 	return f
+}
+
+// fragmentRenderer writes one fragment, recording cluster and host byte
+// spans as it goes: the writer has no internal buffering, so buf.Len()
+// is exact after every element. The spans make the fragment diffable by
+// the subscription feed and reusable by the next render at no extra
+// rendering cost.
+type fragmentRenderer struct {
+	buf bytes.Buffer
+	w   *gxml.Writer
+	f   *sourceFragment
+	// prev is the fragment to copy unchanged hosts from; pc is its span
+	// of the cluster being written and ph the cursor into pc's hosts
+	// (both fragments list a cluster's hosts in name order).
+	prev *sourceFragment
+	pc   *clusterSpan
+	ph   int
+}
+
+// openCluster writes a CLUSTER open tag and starts its span.
+func (r *fragmentRenderer) openCluster(c *gxml.Cluster, hosts int) {
+	cs := clusterSpan{name: c.Name, hosts: make([]hostSpan, 0, hosts)}
+	cs.open.off = r.buf.Len()
+	r.w.OpenCluster(c.Name, c.Owner, c.URL, c.LocalTime)
+	cs.open.end = r.buf.Len()
+	r.f.spans = append(r.f.spans, cs)
+	r.pc, r.ph = r.prev.cluster(len(r.f.spans)-1, c.Name), 0
+}
+
+// host writes one HOST element of the open cluster — by copy when the
+// previous fragment rendered this very host — and records its span.
+func (r *fragmentRenderer) host(h *gxml.Host) {
+	hs := hostSpan{name: h.Name, host: h}
+	hs.b.off = r.buf.Len()
+	if ps := r.pc.host(&r.ph, h.Name); ps != nil && ps.host == h {
+		r.buf.Write(r.prev.buffer()[ps.b.off:ps.b.end])
+	} else {
+		r.w.HostAged(h, r.f.age)
+	}
+	hs.b.end = r.buf.Len()
+	cs := &r.f.spans[len(r.f.spans)-1]
+	cs.hosts = append(cs.hosts, hs)
+}
+
+// grid writes a child's grid tree exactly as gxml.Writer.GridAged does,
+// routing full-resolution clusters through the span-recording path.
+func (r *fragmentRenderer) grid(g *gxml.Grid) {
+	if g.Summary != nil && len(g.Clusters) == 0 && len(g.Grids) == 0 {
+		r.w.GridAged(g, r.f.age)
+		return
+	}
+	r.w.OpenGrid(g.Name, g.Authority, g.LocalTime)
+	for _, c := range g.Clusters {
+		if len(c.Hosts) == 0 && c.Summary != nil {
+			r.w.Cluster(c)
+			continue
+		}
+		r.openCluster(c, len(c.Hosts))
+		for _, h := range c.Hosts {
+			r.host(h)
+		}
+		r.w.CloseCluster()
+	}
+	for _, child := range g.Grids {
+		r.grid(child)
+	}
+	r.w.CloseGrid()
 }
 
 // writeClusterFull streams one cluster at full resolution with aged

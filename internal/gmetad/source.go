@@ -1,7 +1,6 @@
 package gmetad
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -31,7 +30,9 @@ func (g *Gmetad) safePoll(slot *sourceSlot, now time.Time) {
 	if slot.sub != nil && g.streamCovers(slot, now) {
 		// A live subscription link feeds this slot continuously; polling
 		// it would duplicate work. The moment the link degrades, the
-		// cover lapses and the proven poll path resumes here.
+		// cover lapses and the proven poll path resumes here — from a
+		// cold memo: the report it last polled is not worth retaining.
+		slot.memo = hostMemo{}
 		return
 	}
 	if g.breakerDefers(slot, now) {
@@ -102,9 +103,7 @@ func (g *Gmetad) pollSource(slot *sourceSlot, now time.Time) {
 		}
 	}
 
-	b := newBuilder(slot.cfg, now, g.cfg.Mode != OneLevel)
-	var data *sourceData
-	var parseErr error
+	var doc []byte
 	timed(&g.acct.downloadParse, func() {
 		cr := &countingReader{r: conn}
 		var r io.Reader = cr
@@ -113,35 +112,63 @@ func (g *Gmetad) pollSource(slot *sourceSlot, now time.Time) {
 			capped = &cappedReader{r: cr, remaining: g.cfg.MaxReportBytes}
 			r = capped
 		}
-		parseErr = gxml.ParseStream(bufio.NewReaderSize(r, 64*1024), b.handler())
+		doc, err = gxml.ReadReport(r, slot.memo.spare)
 		g.acct.bytesIn.Add(cr.n)
-		// The parser reports a truncated document in its own words; when
-		// the cap is what cut the stream, say so distinctly.
-		if parseErr != nil && capped != nil && capped.remaining <= 0 {
-			parseErr = fmt.Errorf("%w (cap %d): %v", ErrReportTooLarge, g.cfg.MaxReportBytes, parseErr)
+		// When the cap is what cut the stream, say so distinctly.
+		if err != nil && capped != nil && capped.remaining <= 0 {
+			err = fmt.Errorf("%w (cap %d): %v", ErrReportTooLarge, g.cfg.MaxReportBytes, err)
 		}
 	})
-	if parseErr != nil {
-		if errors.Is(parseErr, ErrReportTooLarge) {
+	if err != nil {
+		slot.memo.spare = doc
+	} else {
+		err = g.ingest(slot, addr, &slot.memo, doc, now)
+	}
+	if err != nil {
+		if errors.Is(err, ErrReportTooLarge) {
 			g.acct.oversizeReports.Add(1)
 		}
-		// A report that dials fine but cannot be parsed still charges
-		// the address: backoff steers the next round at its siblings.
+		// A report that dials fine but cannot be downloaded or parsed
+		// still charges the address: backoff steers the next round at
+		// its siblings.
 		g.noteAddrFailure(slot, addr, now)
-		g.sourceFailed(slot, now, fmt.Errorf("parse %s: %w", addr, parseErr))
-		return
+		g.sourceFailed(slot, now, fmt.Errorf("parse %s: %w", addr, err))
 	}
+}
+
+// ingest is the one door a report enters through, whichever link
+// carried it: a poll hands in what it downloaded, a subscription what
+// its ledger reassembled. The report is parsed against the link's host
+// memo (HOST elements byte-identical to the link's previous report are
+// reused, not tokenized), summarized, archived and published. On
+// success the memo advances to this report and owns doc; on a parse
+// error the memo keeps what it had, doc goes back to it as the spare
+// buffer, and nothing is published.
+func (g *Gmetad) ingest(slot *sourceSlot, addr string, memo *hostMemo, doc []byte, now time.Time) error {
+	b := newBuilder(slot.cfg, now, g.cfg.Mode != OneLevel, memo)
+	var err error
+	timed(&g.acct.downloadParse, func() {
+		err = gxml.ParseBytes(doc, b.handler())
+	})
+	g.acct.hostsParsed.Add(b.parsed)
+	g.acct.hostsReused.Add(b.reused)
+	if err != nil {
+		memo.spare = doc
+		return err
+	}
+	memo.advance(doc, b.seen)
+
+	var data *sourceData
 	timed(&g.acct.summarize, func() {
 		data = b.finish()
 	})
-
 	if g.pool != nil {
 		timed(&g.acct.archive, func() {
 			g.archiveSource(data, now)
 		})
 	}
-
 	g.publishData(slot, addr, data, now)
+	return nil
 }
 
 // publishData installs a freshly parsed snapshot and performs the
@@ -213,7 +240,7 @@ func (g *Gmetad) publishData(slot *sourceSlot, addr string, data *sourceData, no
 // the tracker rejects stale generations on its own.
 func (g *Gmetad) publishRendered(slot *sourceSlot, data *sourceData) {
 	timed(&g.acct.render, func() {
-		slot.frag.Store(renderFragment(data, g.cfg.Mode))
+		slot.frag.Store(renderFragment(data, g.cfg.Mode, slot.frag.Load()))
 	})
 	g.acct.fragmentRenders.Add(1)
 	if g.tracker != nil {

@@ -1,6 +1,7 @@
 package gmetad
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"sync"
@@ -69,6 +70,63 @@ type sourceSlot struct {
 	// configured with Subscribe; nil for polled sources. It carries its
 	// own lock — the poll gate consults it without the slot lock.
 	sub *subscriber
+
+	// memo is the poll path's host memo. Only the slot's poller touches
+	// it (rounds of one slot never overlap), so it takes no lock; a
+	// subscription link keeps its own, next to its ledger.
+	memo hostMemo
+}
+
+// hostMemo is what one ingest link remembers of the last report it
+// parsed successfully: the report itself and, per (cluster, host), the
+// span of the HOST element in it and the immutable *gxml.Host the span
+// produced. While the next report of the link is parsed, a HOST element
+// whose bytes equal the remembered span is not tokenized again: the
+// remembered host is attached to the new snapshot by pointer. Equality
+// is a byte comparison against the retained report, not a hash — the
+// remembered span is one complete element the parser accepted, so a
+// document that continues with the same bytes continues with the same
+// element and would parse to the same host.
+//
+// A memo is owned by exactly one goroutine. It is replaced only by a
+// report that parsed to the end, so a host of a failed report is never
+// reused and hosts absent from the newest report expire with the old
+// memo. The zero memo is the cold case: a first poll or a FULL sync.
+type hostMemo struct {
+	doc      []byte
+	clusters map[string]map[string]memoHost
+	// spare is the report buffer doc replaced, free for the next
+	// download or reassembly, so a link ingests without allocating.
+	spare []byte
+}
+
+// memoHost is one remembered HOST element.
+type memoHost struct {
+	off, end int // span in hostMemo.doc
+	host     *gxml.Host
+}
+
+// advance installs the record of a successfully parsed report; the
+// report it replaces becomes the spare buffer.
+func (m *hostMemo) advance(doc []byte, clusters map[string]map[string]memoHost) {
+	m.spare, m.doc, m.clusters = m.doc, doc, clusters
+}
+
+// hostNameAt returns the raw NAME value of the HOST element at
+// doc[start:] when the element opens the way Ganglia writers spell it,
+// nil otherwise. It only picks the memo entry to compare against: a
+// wrong or missing key costs a parse, never correctness.
+func hostNameAt(doc []byte, start int) []byte {
+	const open = `<HOST NAME="`
+	rest := doc[start:]
+	if len(rest) < len(open) || string(rest[:len(open)]) != open {
+		return nil
+	}
+	rest = rest[len(open):]
+	if i := bytes.IndexByte(rest, '"'); i >= 0 {
+		return rest[:i]
+	}
+	return nil
 }
 
 // sourceFragment is one source's subtree rendered to XML, valid for
@@ -84,29 +142,79 @@ type sourceFragment struct {
 	clusters []byte
 	grids    []byte
 
-	// spans indexes the clusters buffer at cluster and host granularity
-	// (gmond sources only). The stream feed producer diffs consecutive
+	// spans indexes the fragment at cluster and host granularity, in
+	// document order: the clusters buffer of a gmond source, the grids
+	// buffer of a 1-level child (an N-level summary grid has no hosts
+	// and no spans). The stream feed producer diffs consecutive gmond
 	// fragments host-by-host through these offsets, shipping only the
-	// bytes that changed — without ever reparsing its own output.
+	// bytes that changed, and the next render of the slot copies the
+	// bytes of hosts it still shares — neither ever reparses output.
 	spans []clusterSpan
+	// age is the soft-state age baked into every rendered TN.
+	age uint32
 }
 
 // span is a half-open byte range within a fragment buffer.
 type span struct{ off, end int }
 
-// clusterSpan locates one rendered CLUSTER section inside a fragment's
-// clusters buffer: the open tag, then each host element in order. The
-// close tag is constant (stream.ClusterClose) and is not recorded.
+// clusterSpan locates one rendered CLUSTER section inside a fragment
+// buffer: the open tag, then each host element in name order. The close
+// tag is constant (stream.ClusterClose) and is not recorded.
 type clusterSpan struct {
 	name  string
 	open  span
 	hosts []hostSpan
 }
 
-// hostSpan locates one rendered HOST element.
+// hostSpan locates one rendered HOST element and names the immutable
+// host it was rendered from: a later snapshot holding the same pointer
+// (at the same age) renders to the same bytes.
 type hostSpan struct {
 	name string
 	b    span
+	host *gxml.Host
+}
+
+// buffer returns the buffer the fragment's spans index.
+func (f *sourceFragment) buffer() []byte {
+	if f.clusters != nil {
+		return f.clusters
+	}
+	return f.grids
+}
+
+// cluster returns the span of the cluster called name, trying position
+// i first (consecutive fragments of a slot nearly always list the same
+// clusters in the same order); nil when f is nil or has no such span.
+func (f *sourceFragment) cluster(i int, name string) *clusterSpan {
+	if f == nil {
+		return nil
+	}
+	if i < len(f.spans) && f.spans[i].name == name {
+		return &f.spans[i]
+	}
+	for j := range f.spans {
+		if f.spans[j].name == name {
+			return &f.spans[j]
+		}
+	}
+	return nil
+}
+
+// host returns the span of the host called name. Callers ask in name
+// order, the order the spans are in, so a cursor replaces a lookup
+// table; nil when c is nil or holds no such host.
+func (c *clusterSpan) host(cursor *int, name string) *hostSpan {
+	if c == nil {
+		return nil
+	}
+	for *cursor < len(c.hosts) && c.hosts[*cursor].name < name {
+		*cursor++
+	}
+	if *cursor < len(c.hosts) && c.hosts[*cursor].name == name {
+		return &c.hosts[*cursor]
+	}
+	return nil
 }
 
 // size returns the fragment's rendered byte length, used to presize
@@ -202,11 +310,12 @@ type clusterData struct {
 	inGrid bool
 }
 
-// newClusterData wraps cluster attributes.
-func newClusterData(name, owner, url string, localtime int64) *clusterData {
+// newClusterData wraps cluster attributes; hosts presizes the tables.
+func newClusterData(name, owner, url string, localtime int64, hosts int) *clusterData {
 	return &clusterData{
 		meta:  gxml.Cluster{Name: name, Owner: owner, URL: url, LocalTime: localtime},
-		hosts: make(map[string]*gxml.Host),
+		hosts: make(map[string]*gxml.Host, hosts),
+		order: make([]string, 0, hosts),
 	}
 }
 
@@ -214,10 +323,6 @@ func newClusterData(name, owner, url string, localtime int64) *clusterData {
 // cluster's reduction. A cluster that arrived in summary form (no
 // hosts, parsed HOSTS/METRICS tags) keeps the summary it came with.
 func (c *clusterData) finalize(computeSummary bool) {
-	c.order = c.order[:0]
-	for name := range c.hosts {
-		c.order = append(c.order, name)
-	}
 	sort.Strings(c.order)
 	if len(c.hosts) == 0 && c.summary != nil {
 		return
@@ -286,23 +391,63 @@ type builder struct {
 	// gridSummaries collects the summary form of grids that arrive
 	// pre-reduced from a child gmetad.
 	summStack []*summary.Summary
+
+	// prev is the link's memo, read-only here; seen is the record of
+	// the report being parsed, which replaces it if the parse succeeds.
+	// prevClu and seenClu are the open cluster's tables in each.
+	prev             *hostMemo
+	seen             map[string]map[string]memoHost
+	prevClu, seenClu map[string]memoHost
+	parsed, reused   int64 // HOST elements tokenized / taken from prev
 }
 
-func newBuilder(src DataSource, polled time.Time, summarize bool) *builder {
+func newBuilder(src DataSource, polled time.Time, summarize bool, prev *hostMemo) *builder {
 	return &builder{
 		summarize: summarize,
+		prev:      prev,
+		seen:      make(map[string]map[string]memoHost, len(prev.clusters)),
 		out: &sourceData{
 			name:     src.Name,
 			kind:     src.Kind,
 			polled:   polled,
-			clusters: make(map[string]*clusterData),
+			clusters: make(map[string]*clusterData, len(prev.clusters)),
 		},
 	}
+}
+
+// offerHost is the builder's gxml.Handler.OfferHost: the HOST element
+// at doc[start:] is taken from the memo when the document continues with
+// exactly the bytes remembered for that host.
+func (b *builder) offerHost(doc []byte, start int) int {
+	m, ok := b.prevClu[string(hostNameAt(doc, start))]
+	if !ok {
+		return 0
+	}
+	old := b.prev.doc[m.off:m.end]
+	if !bytes.HasPrefix(doc[start:], old) {
+		return 0
+	}
+	b.reused++
+	b.addHost(m.host, start, start+len(old))
+	return len(old)
+}
+
+// addHost attaches a host, tokenized or taken from the memo, to the open
+// cluster and remembers its span doc[start:end] for the link's next
+// report. A repeated name within one cluster keeps the first host.
+func (b *builder) addHost(h *gxml.Host, start, end int) {
+	if _, dup := b.curClu.hosts[h.Name]; dup {
+		return
+	}
+	b.curClu.hosts[h.Name] = h
+	b.curClu.order = append(b.curClu.order, h.Name)
+	b.seenClu[h.Name] = memoHost{off: start, end: end, host: h}
 }
 
 // handler returns the gxml callbacks that feed the builder.
 func (b *builder) handler() *gxml.Handler {
 	return &gxml.Handler{
+		OfferHost: b.offerHost,
 		StartGrid: func(name, authority string, lt int64) {
 			g := &gxml.Grid{Name: name, Authority: authority, LocalTime: lt}
 			if len(b.gridStack) == 0 {
@@ -329,7 +474,12 @@ func (b *builder) handler() *gxml.Handler {
 			b.summStack = b.summStack[:len(b.summStack)-1]
 		},
 		StartCluster: func(name, owner, url string, lt int64) {
-			b.curClu = newClusterData(name, owner, url, lt)
+			b.prevClu = b.prev.clusters[name]
+			if b.seenClu = b.seen[name]; b.seenClu == nil {
+				b.seenClu = make(map[string]memoHost, len(b.prevClu))
+				b.seen[name] = b.seenClu
+			}
+			b.curClu = newClusterData(name, owner, url, lt, len(b.prevClu))
 			b.curGXML = &gxml.Cluster{Name: name, Owner: owner, URL: url, LocalTime: lt}
 			if len(b.gridStack) > 0 {
 				b.curClu.inGrid = true
@@ -347,6 +497,7 @@ func (b *builder) handler() *gxml.Handler {
 				b.out.clusterOrder = append(b.out.clusterOrder, b.curClu.meta.Name)
 			}
 			// Share host storage with the grid-tree shadow node.
+			b.curGXML.Hosts = make([]*gxml.Host, 0, len(b.curClu.order))
 			for _, name := range b.curClu.order {
 				b.curGXML.Hosts = append(b.curGXML.Hosts, b.curClu.hosts[name])
 			}
@@ -357,19 +508,12 @@ func (b *builder) handler() *gxml.Handler {
 			hh := h
 			b.curHost = &hh
 		},
-		EndHost: func() {
-			if b.curClu != nil {
-				if _, dup := b.curClu.hosts[b.curHost.Name]; !dup {
-					b.curClu.hosts[b.curHost.Name] = b.curHost
-					b.curClu.order = append(b.curClu.order, b.curHost.Name)
-				}
-			}
-			b.curHost = nil
+		EndHost: func(start, end int) {
+			b.parsed++
+			b.addHost(b.curHost, start, end)
 		},
 		Metric: func(m metric.Metric) {
-			if b.curHost != nil {
-				b.curHost.Metrics = append(b.curHost.Metrics, m)
-			}
+			b.curHost.Metrics = append(b.curHost.Metrics, m)
 		},
 		SummaryHosts: func(up, down uint32) {
 			s := b.currentSummary()

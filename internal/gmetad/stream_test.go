@@ -92,10 +92,19 @@ func newStreamRig(t *testing.T, mode Mode, churn float64) *streamRig {
 // the resulting frames, then both parents take their poll round (a
 // covered slot skips; a degraded link falls back or relaunches).
 // It reports whether the link ended the round streaming and caught up.
+//
+// The oracle polls from a cold host memo every round — every HOST
+// tokenized, nothing carried over — while the subscribed parent keeps
+// whatever its stream link and its fallback polls have remembered, so
+// the comparison also proves memoized ingest against cold ingest
+// through every fault regime.
 func (sr *streamRig) round() bool {
 	now := sr.r.clk.Advance(15 * time.Second)
 	sr.child.PollOnce(now)
 	synced := sr.awaitQuiesce(2 * time.Second)
+	for _, slot := range sr.oracle.snapshotOrder() {
+		slot.memo = hostMemo{}
+	}
 	sr.oracle.PollOnce(now)
 	sr.sub.PollOnce(now)
 	return synced
@@ -275,6 +284,12 @@ func TestStreamChaosEquivalence(t *testing.T) {
 		if sc.wantsGaps && after.StreamGaps <= before.StreamGaps {
 			t.Errorf("%s: fault regime left no counted gap", sc.name)
 		}
+		if after.HostsReused <= before.HostsReused {
+			t.Errorf("%s: the subscribed parent went through the regime without a warm memo", sc.name)
+		}
+	}
+	if n := sr.oracle.Accounting().Snapshot().HostsReused; n != 0 {
+		t.Errorf("the cold oracle reused %d hosts", n)
 	}
 }
 

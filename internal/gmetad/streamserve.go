@@ -127,7 +127,7 @@ func (g *Gmetad) captureFeed(summaryForm bool) (*feedView, error) {
 			// and its fragment publish; render one privately, spans and
 			// all, like the serve path's fallback.
 			g.countFallbackRender()
-			frag = renderFragment(data, g.cfg.Mode)
+			frag = renderFragment(data, g.cfg.Mode, nil)
 		}
 		v.slots = append(v.slots, feedSlot{name: slot.cfg.Name, kind: data.kind, data: data, frag: frag})
 	}
@@ -177,15 +177,10 @@ func diffFeed(prev, cur *feedView) *stream.Delta {
 
 // clusterDeltas diffs one gmond fragment against its predecessor,
 // emitting the full cluster/host skeleton with bytes only for hosts
-// whose rendered element actually changed.
+// whose rendered element actually changed. A host both fragments
+// rendered from the same immutable *gxml.Host at the same age is
+// unchanged without a look at its bytes.
 func clusterDeltas(cur, prev *sourceFragment) []stream.ClusterDelta {
-	var prevClusters map[string]*clusterSpan
-	if prev != nil {
-		prevClusters = make(map[string]*clusterSpan, len(prev.spans))
-		for i := range prev.spans {
-			prevClusters[prev.spans[i].name] = &prev.spans[i]
-		}
-	}
 	out := make([]stream.ClusterDelta, 0, len(cur.spans))
 	for i := range cur.spans {
 		cs := &cur.spans[i]
@@ -194,21 +189,13 @@ func clusterDeltas(cur, prev *sourceFragment) []stream.ClusterDelta {
 			Open:  cur.clusters[cs.open.off:cs.open.end],
 			Hosts: make([]stream.HostDelta, 0, len(cs.hosts)),
 		}
-		var pc *clusterSpan
-		if prevClusters != nil {
-			pc = prevClusters[cs.name]
-		}
-		var prevHosts map[string]span
-		if pc != nil {
-			prevHosts = make(map[string]span, len(pc.hosts))
-			for j := range pc.hosts {
-				prevHosts[pc.hosts[j].name] = pc.hosts[j].b
-			}
-		}
+		pc, ph := prev.cluster(i, cs.name), 0
 		for j := range cs.hosts {
 			hs := &cs.hosts[j]
 			hb := cur.clusters[hs.b.off:hs.b.end]
-			if ps, ok := prevHosts[hs.name]; ok && bytes.Equal(prev.clusters[ps.off:ps.end], hb) {
+			ps := pc.host(&ph, hs.name)
+			if ps != nil && (ps.host == hs.host && prev.age == cur.age ||
+				bytes.Equal(prev.clusters[ps.b.off:ps.b.end], hb)) {
 				cd.Hosts = append(cd.Hosts, stream.HostDelta{Name: hs.name})
 			} else {
 				cd.Hosts = append(cd.Hosts, stream.HostDelta{Name: hs.name, Changed: true, Bytes: hb})

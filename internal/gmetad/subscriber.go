@@ -2,7 +2,6 @@ package gmetad
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"ganglia/internal/gxml"
 	"ganglia/internal/stream"
 )
 
@@ -179,8 +177,10 @@ func (g *Gmetad) streamOnce(slot *sourceSlot, sub *subscriber) error {
 		g.acct.streamGaps.Add(1)
 		return fail(fmt.Errorf("stream sync %s: expected full frame, got %s", addr, f.Type))
 	}
-	led := stream.NewLedger()
-	if err := g.applyStreamFrame(slot, addr, led, f, true); err != nil {
+	// The link's replica and its host memo live and die with this
+	// attempt: a reconnect starts from a FULL sync and a cold memo.
+	link := &streamLink{slot: slot, addr: addr, led: stream.NewLedger()}
+	if err := g.applyStreamFrame(link, f, true); err != nil {
 		g.acct.streamGaps.Add(1)
 		return fail(fmt.Errorf("stream sync %s: %w", addr, err))
 	}
@@ -208,7 +208,7 @@ func (g *Gmetad) streamOnce(slot *sourceSlot, sub *subscriber) error {
 			return nil
 		case stream.FrameFull:
 			// A mid-stream FULL is an unsolicited resync; accept it.
-			if err := g.applyStreamFrame(slot, addr, led, f, true); err != nil {
+			if err := g.applyStreamFrame(link, f, true); err != nil {
 				g.acct.streamGaps.Add(1)
 				return fail(fmt.Errorf("stream resync %s: %w", addr, err))
 			}
@@ -221,7 +221,7 @@ func (g *Gmetad) streamOnce(slot *sourceSlot, sub *subscriber) error {
 				g.acct.streamGaps.Add(1)
 				return fail(fmt.Errorf("stream %s: generation gap (have %d, frame follows %d)", addr, gen, f.Prev))
 			}
-			if err := g.applyStreamFrame(slot, addr, led, f, false); err != nil {
+			if err := g.applyStreamFrame(link, f, false); err != nil {
 				g.acct.streamGaps.Add(1)
 				return fail(fmt.Errorf("stream apply %s: %w", addr, err))
 			}
@@ -244,36 +244,35 @@ func (g *Gmetad) noteStreamFault(err error) {
 	}
 }
 
+// streamLink is the state one live subscription link owns, all of it
+// touched by the link's goroutine alone: the byte replica of the child's
+// report and the host memo of the last report ingested from it.
+type streamLink struct {
+	slot *sourceSlot
+	addr string
+	led  *stream.Ledger
+	memo hostMemo
+}
+
 // applyStreamFrame advances the replica by one frame and publishes the
 // result through the poll path's own machinery: the ledger reassembles
-// the child's exact poll-answer bytes, which are parsed by the same
-// builder, archived by the same archiver and published by the same
-// publishData a poll would use. The only stream-specific code is the
-// reassembly — everything downstream is shared, by construction.
-func (g *Gmetad) applyStreamFrame(slot *sourceSlot, addr string, led *stream.Ledger, f *stream.Frame, full bool) error {
+// the child's exact poll-answer bytes (into the memo's spare buffer),
+// which enter through the same ingest a poll uses. The only
+// stream-specific code is the reassembly — everything downstream is
+// shared, by construction; what makes a delta cheap to apply is the
+// memo, which finds every host the frame did not touch byte-identical.
+func (g *Gmetad) applyStreamFrame(l *streamLink, f *stream.Frame, full bool) error {
 	d, err := stream.DecodeDelta(f.Payload)
 	if err != nil {
 		return err
 	}
-	if err := led.Apply(d, full); err != nil {
+	if err := l.led.Apply(d, full); err != nil {
 		return err
 	}
-	report := led.Assemble(nil, footerBytes)
-	now := g.cfg.Clock.Now()
-	b := newBuilder(slot.cfg, now, g.cfg.Mode != OneLevel)
-	var parseErr error
-	timed(&g.acct.downloadParse, func() {
-		parseErr = gxml.ParseStream(bytes.NewReader(report), b.handler())
-	})
-	if parseErr != nil {
-		return fmt.Errorf("reassembled report: %w", parseErr)
+	report := l.led.Assemble(l.memo.spare[:0], footerBytes)
+	if err := g.ingest(l.slot, l.addr, &l.memo, report, g.cfg.Clock.Now()); err != nil {
+		return fmt.Errorf("reassembled report: %w", err)
 	}
-	var data *sourceData
-	timed(&g.acct.summarize, func() { data = b.finish() })
-	if g.pool != nil {
-		timed(&g.acct.archive, func() { g.archiveSource(data, now) })
-	}
-	g.publishData(slot, addr, data, now)
 	return nil
 }
 

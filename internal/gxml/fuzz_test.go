@@ -66,7 +66,7 @@ func FuzzParseStreamChaos(f *testing.F) {
 		StartCluster:  func(string, string, string, int64) {},
 		EndCluster:    func() {},
 		StartHost:     func(Host) {},
-		EndHost:       func() {},
+		EndHost:       func(int, int) {},
 		Metric:        func(metric.Metric) {},
 		SummaryHosts:  func(uint32, uint32) {},
 		SummaryMetric: func(summary.Metric) {},

@@ -1,12 +1,13 @@
 package gxml
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"ganglia/internal/metric"
 	"ganglia/internal/summary"
@@ -27,9 +28,20 @@ type Handler struct {
 	EndCluster   func()
 
 	// StartHost receives the host attributes; its metrics follow as
-	// Metric events before EndHost.
+	// Metric events before EndHost, which is told the element's span:
+	// doc[start:end] runs from the '<' of the open tag through the '>'
+	// that closes the element.
 	StartHost func(h Host)
-	EndHost   func()
+	EndHost   func(start, end int)
+
+	// OfferHost, when set, is called at each HOST element before anything
+	// of it is tokenized: doc is the whole document and start the offset
+	// of the element's '<'. A positive n declares doc[start:start+n] one
+	// complete HOST element the consumer has taken care of (gmetad's
+	// per-link host memo recognises elements it has parsed before); the
+	// parser resumes behind it and fires no event for it. Otherwise the
+	// element is parsed as usual.
+	OfferHost func(doc []byte, start int) (n int)
 
 	Metric func(m metric.Metric)
 
@@ -59,44 +71,93 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("gxml: offset %d: %s", e.Offset, e.Msg)
 }
 
+// attr is one attribute of the tag being parsed. name aliases the
+// document; value aliases it too unless it held an entity reference,
+// in which case it aliases the parser's decode buffer. Both are dead
+// once the next tag starts, so the element constructors copy out (or
+// convert) whatever the handler keeps.
 type attr struct {
-	name  string
-	value string
+	name  []byte
+	value []byte
 }
 
 type parser struct {
-	br   *bufio.Reader
+	doc []byte
+	// pos counts the bytes consumed; SyntaxError offsets report it.
+	pos  int
 	h    *Handler
-	off  int64
 	stk  []string
 	skip int // depth inside an unknown element's subtree
 	atts []attr
+	dec  []byte // entity-decoded attribute values of the current tag
+	// hostStart is the offset of the open HOST element's '<'.
+	hostStart int
 	// rootClosed records that a complete GANGLIA_XML element was seen
 	// (including the self-closing form).
 	rootClosed bool
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return &SyntaxError{Offset: p.off, Msg: fmt.Sprintf(format, args...)}
+	return &SyntaxError{Offset: int64(p.pos), Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) readByte() (byte, error) {
-	c, err := p.br.ReadByte()
-	if err == nil {
-		p.off++
-	}
-	return c, err
+// eof fails at the end of input: every truncation error reports the
+// document's length as its offset.
+func (p *parser) eof(format string, args ...any) error {
+	p.pos = len(p.doc)
+	return p.errf(format, args...)
 }
 
-// ParseStream reads one GANGLIA_XML document from r, invoking h's
-// callbacks as elements are encountered. It validates nesting against
-// the Ganglia DTD and fails on truncated or malformed input. Unknown
-// elements (and their subtrees) are skipped for forward compatibility.
-func ParseStream(r io.Reader, h *Handler) error {
-	p := &parser{br: bufio.NewReaderSize(r, 32*1024), h: h}
+// ReadReport reads r to EOF into buf[:0], growing it as needed, and
+// returns the bytes read together with any error other than EOF. It is
+// the read-whole-report step in front of ParseBytes: callers bound r
+// first (gmetad's MaxReportBytes cap), and a caller that keeps buf
+// across calls downloads without allocating.
+func ReadReport(r io.Reader, buf []byte) ([]byte, error) {
+	buf = buf[:0]
 	for {
-		c, err := p.readByte()
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
 		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// ParseStream reads one GANGLIA_XML document from r (which the caller
+// has bounded) and parses it as ParseBytes does. A read error other
+// than EOF is reported after whatever arrived has been parsed, unless
+// the cut left a syntax error of its own.
+func ParseStream(r io.Reader, h *Handler) error {
+	doc, err := ReadReport(r, nil)
+	return parse(doc, err, h)
+}
+
+// ParseBytes parses one GANGLIA_XML document held in memory, invoking
+// h's callbacks as elements are encountered. It validates nesting
+// against the Ganglia DTD and fails on truncated or malformed input.
+// Unknown elements (and their subtrees) are skipped for forward
+// compatibility. doc is only read, and nothing handed to h aliases it
+// except through Handler.OfferHost.
+func ParseBytes(doc []byte, h *Handler) error { return parse(doc, nil, h) }
+
+func parse(doc []byte, readErr error, h *Handler) error {
+	p := &parser{doc: doc, h: h}
+	for {
+		// The Ganglia dialect has no element text; tolerate and skip
+		// whatever appears between tags (whitespace in practice).
+		i := bytes.IndexByte(doc[p.pos:], '<')
+		if i < 0 {
+			p.pos = len(doc)
+			if readErr != nil {
+				return readErr
+			}
 			if len(p.stk) != 0 {
 				return p.errf("unexpected EOF inside <%s>", p.stk[len(p.stk)-1])
 			}
@@ -105,118 +166,98 @@ func ParseStream(r io.Reader, h *Handler) error {
 			}
 			return nil
 		}
-		if err != nil {
-			return err
-		}
-		if c != '<' {
-			// The Ganglia dialect has no element text; tolerate and
-			// skip whatever appears between tags (whitespace in
-			// practice).
-			continue
-		}
-		c, err = p.readByte()
-		if err != nil {
+		start := p.pos + i
+		p.pos = start + 1
+		if p.pos == len(doc) {
 			return p.errf("truncated tag")
 		}
-		switch c {
+		var err error
+		switch doc[p.pos] {
 		case '?':
-			if err := p.skipUntil("?>"); err != nil {
-				return err
-			}
+			p.pos++
+			err = p.skipPast("?>", "truncated \"?>\" section")
 		case '!':
-			if err := p.skipDeclaration(); err != nil {
-				return err
-			}
+			p.pos++
+			err = p.skipDeclaration()
 		case '/':
-			name, err := p.readName('>')
-			if err != nil {
-				return err
-			}
-			if err := p.skipToGT(); err != nil {
-				return err
-			}
-			if err := p.closeElement(name); err != nil {
-				return err
+			p.pos++
+			var name []byte
+			if name, err = p.readName(); err == nil {
+				if err = p.skipToGT(); err == nil {
+					err = p.closeElement(name)
+				}
 			}
 		default:
-			if err := p.br.UnreadByte(); err != nil {
-				return err
+			if p.offerHost(start) {
+				continue
 			}
-			p.off--
-			selfClosing, name, err := p.parseStartTag()
-			if err != nil {
-				return err
+			var name []byte
+			var selfClosing bool
+			if selfClosing, name, err = p.parseStartTag(); err == nil {
+				err = p.openElement(name, selfClosing, start)
 			}
-			if err := p.openElement(name, selfClosing); err != nil {
-				return err
-			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
-// skipUntil discards input through the first occurrence of the
-// two-byte terminator t.
-func (p *parser) skipUntil(t string) error {
-	var prev byte
-	for {
-		c, err := p.readByte()
-		if err != nil {
-			return p.errf("truncated %q section", t)
-		}
-		if prev == t[0] && c == t[1] {
-			return nil
-		}
-		prev = c
+// offerHost gives Handler.OfferHost the chance to take the HOST element
+// starting at start whole; p.pos is just past its '<'.
+func (p *parser) offerHost(start int) bool {
+	rest := p.doc[p.pos:]
+	if p.h.OfferHost == nil || p.skip > 0 || p.parent() != "CLUSTER" ||
+		len(rest) < 5 || string(rest[:4]) != "HOST" || isNameByte(rest[4]) {
+		return false
 	}
+	n := p.h.OfferHost(p.doc, start)
+	if n <= 0 || n > len(p.doc)-start {
+		return false
+	}
+	p.pos = start + n
+	return true
+}
+
+// skipPast discards input through the first occurrence of t.
+func (p *parser) skipPast(t, truncated string) error {
+	i := bytes.Index(p.doc[p.pos:], []byte(t))
+	if i < 0 {
+		return p.eof("%s", truncated)
+	}
+	p.pos += i + len(t)
+	return nil
 }
 
 // skipDeclaration discards a <!...> construct: a comment (which may
 // contain '>') or a DOCTYPE possibly carrying an internal subset in
-// square brackets.
+// square brackets. "<!" has been consumed.
 func (p *parser) skipDeclaration() error {
-	// Check for a comment: we have consumed "<!", the next two bytes
-	// may be "--".
-	b, err := p.br.Peek(2)
-	if err == nil && b[0] == '-' && b[1] == '-' {
-		p.br.Discard(2)
-		p.off += 2
-		var a, bb byte
-		for {
-			c, err := p.readByte()
-			if err != nil {
-				return p.errf("truncated comment")
-			}
-			if a == '-' && bb == '-' && c == '>' {
-				return nil
-			}
-			a, bb = bb, c
-		}
+	if bytes.HasPrefix(p.doc[p.pos:], []byte("--")) {
+		p.pos += 2
+		return p.skipPast("-->", "truncated comment")
 	}
 	depth := 0
-	for {
-		c, err := p.readByte()
-		if err != nil {
-			return p.errf("truncated declaration")
-		}
-		switch c {
+	for ; p.pos < len(p.doc); p.pos++ {
+		switch p.doc[p.pos] {
 		case '[':
 			depth++
 		case ']':
 			depth--
 		case '>':
 			if depth <= 0 {
+				p.pos++
 				return nil
 			}
 		}
 	}
+	return p.eof("truncated declaration")
 }
 
 func (p *parser) skipToGT() error {
-	for {
-		c, err := p.readByte()
-		if err != nil {
-			return p.errf("truncated end tag")
-		}
+	for p.pos < len(p.doc) {
+		c := p.doc[p.pos]
+		p.pos++
 		if c == '>' {
 			return nil
 		}
@@ -224,6 +265,7 @@ func (p *parser) skipToGT() error {
 			return p.errf("unexpected %q in end tag", c)
 		}
 	}
+	return p.eof("truncated end tag")
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
@@ -233,84 +275,73 @@ func isNameByte(c byte) bool {
 		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }
 
-// readName accumulates a tag or attribute name; stop is an additional
-// terminator the caller will handle (the byte is unread).
-func (p *parser) readName(stop byte) (string, error) {
-	var sb strings.Builder
-	for {
-		c, err := p.readByte()
-		if err != nil {
-			return "", p.errf("truncated name")
-		}
-		if isNameByte(c) {
-			sb.WriteByte(c)
-			continue
-		}
-		if c == stop || isSpace(c) || c == '/' || c == '>' || c == '=' {
-			if err := p.br.UnreadByte(); err != nil {
-				return "", err
-			}
-			p.off--
-			if sb.Len() == 0 {
-				return "", p.errf("empty name")
-			}
-			return sb.String(), nil
-		}
-		return "", p.errf("invalid name byte %q", c)
+// readName returns the tag or attribute name at p.pos as a sub-slice
+// of the document; the terminator is left unconsumed.
+func (p *parser) readName() ([]byte, error) {
+	start := p.pos
+	for p.pos < len(p.doc) && isNameByte(p.doc[p.pos]) {
+		p.pos++
 	}
+	if p.pos == len(p.doc) {
+		return nil, p.errf("truncated name")
+	}
+	if c := p.doc[p.pos]; !isSpace(c) && c != '/' && c != '>' && c != '=' {
+		p.pos++
+		return nil, p.errf("invalid name byte %q", c)
+	}
+	if p.pos == start {
+		return nil, p.errf("empty name")
+	}
+	return p.doc[start:p.pos], nil
 }
 
-// parseStartTag parses "<NAME attr=.. ...>" or "<NAME .../>"; the '<'
-// has been consumed.
-func (p *parser) parseStartTag() (selfClosing bool, name string, err error) {
-	name, err = p.readName('>')
+// parseStartTag parses "NAME attr=.. ...>" or "NAME .../>"; the '<' has
+// been consumed.
+func (p *parser) parseStartTag() (selfClosing bool, name []byte, err error) {
+	name, err = p.readName()
 	if err != nil {
-		return false, "", err
+		return false, nil, err
 	}
-	p.atts = p.atts[:0]
-	for {
-		c, err := p.readByte()
-		if err != nil {
-			return false, "", p.errf("truncated tag <%s>", name)
-		}
+	p.atts, p.dec = p.atts[:0], p.dec[:0]
+	for p.pos < len(p.doc) {
+		c := p.doc[p.pos]
 		switch {
 		case isSpace(c):
-			continue
+			p.pos++
 		case c == '>':
+			p.pos++
 			return false, name, nil
 		case c == '/':
-			c, err = p.readByte()
-			if err != nil || c != '>' {
-				return false, "", p.errf("expected '>' after '/' in <%s>", name)
+			p.pos++
+			if p.pos == len(p.doc) || p.doc[p.pos] != '>' {
+				if p.pos < len(p.doc) {
+					p.pos++
+				}
+				return false, nil, p.errf("expected '>' after '/' in <%s>", name)
 			}
+			p.pos++
 			return true, name, nil
 		default:
-			if err := p.br.UnreadByte(); err != nil {
-				return false, "", err
+			var a attr
+			if a.name, err = p.readName(); err != nil {
+				return false, nil, err
 			}
-			p.off--
-			aname, err := p.readName('=')
-			if err != nil {
-				return false, "", err
+			if err = p.expectByte('='); err != nil {
+				return false, nil, err
 			}
-			if err := p.expectByte('='); err != nil {
-				return false, "", err
+			if a.value, err = p.readAttrValue(); err != nil {
+				return false, nil, err
 			}
-			aval, err := p.readAttrValue()
-			if err != nil {
-				return false, "", err
-			}
-			p.atts = append(p.atts, attr{aname, aval})
+			p.atts = append(p.atts, a)
 		}
 	}
+	return false, nil, p.eof("truncated tag <%s>", name)
 }
 
 func (p *parser) expectByte(want byte) error {
-	for {
-		c, err := p.readByte()
-		if err != nil {
-			return p.errf("truncated input, expected %q", want)
-		}
+	for p.pos < len(p.doc) {
+		c := p.doc[p.pos]
+		p.pos++
 		if c == want {
 			return nil
 		}
@@ -318,62 +349,72 @@ func (p *parser) expectByte(want byte) error {
 			return p.errf("expected %q, found %q", want, c)
 		}
 	}
+	return p.eof("truncated input, expected %q", want)
 }
 
-func (p *parser) readAttrValue() (string, error) {
+// readAttrValue returns the quoted value at p.pos: a sub-slice of the
+// document when it holds no entity reference, decoded into p.dec
+// otherwise.
+func (p *parser) readAttrValue() ([]byte, error) {
 	var quote byte
 	for {
-		c, err := p.readByte()
-		if err != nil {
-			return "", p.errf("truncated attribute value")
+		if p.pos == len(p.doc) {
+			return nil, p.errf("truncated attribute value")
 		}
+		c := p.doc[p.pos]
+		p.pos++
 		if isSpace(c) {
 			continue
 		}
-		if c == '"' || c == '\'' {
-			quote = c
-			break
+		if c != '"' && c != '\'' {
+			return nil, p.errf("attribute value must be quoted, found %q", c)
 		}
-		return "", p.errf("attribute value must be quoted, found %q", c)
+		quote = c
+		break
 	}
-	var sb strings.Builder
-	for {
-		c, err := p.readByte()
-		if err != nil {
-			return "", p.errf("truncated attribute value")
-		}
-		if c == quote {
-			return sb.String(), nil
-		}
-		if c == '&' {
+	rest := p.doc[p.pos:]
+	end := bytes.IndexByte(rest, quote)
+	if end >= 0 && bytes.IndexByte(rest[:end], '&') < 0 {
+		p.pos += end + 1
+		return rest[:end], nil
+	}
+	from := len(p.dec)
+	for p.pos < len(p.doc) {
+		c := p.doc[p.pos]
+		p.pos++
+		switch c {
+		case quote:
+			return p.dec[from:], nil
+		case '&':
 			r, err := p.readEntity()
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			sb.WriteRune(r)
-			continue
+			p.dec = utf8.AppendRune(p.dec, r)
+		default:
+			p.dec = append(p.dec, c)
 		}
-		sb.WriteByte(c)
 	}
+	return nil, p.errf("truncated attribute value")
 }
 
 // readEntity decodes an entity reference after the '&'.
 func (p *parser) readEntity() (rune, error) {
-	var sb strings.Builder
+	start := p.pos
 	for {
-		c, err := p.readByte()
-		if err != nil {
+		if p.pos == len(p.doc) {
 			return 0, p.errf("truncated entity")
 		}
+		c := p.doc[p.pos]
+		p.pos++
 		if c == ';' {
 			break
 		}
-		if sb.Len() > 8 {
+		if p.pos-start > 9 {
 			return 0, p.errf("entity too long")
 		}
-		sb.WriteByte(c)
 	}
-	ent := sb.String()
+	ent := string(p.doc[start : p.pos-1])
 	switch ent {
 	case "amp":
 		return '&', nil
@@ -403,17 +444,23 @@ func (p *parser) readEntity() (rune, error) {
 	return 0, p.errf("unknown entity &%s;", ent)
 }
 
-func (p *parser) findAttr(name string) string {
+// find returns the raw value of the named attribute of the current tag,
+// nil when absent.
+func (p *parser) find(name string) []byte {
 	for i := range p.atts {
-		if p.atts[i].name == name {
+		if string(p.atts[i].name) == name {
 			return p.atts[i].value
 		}
 	}
-	return ""
+	return nil
 }
 
+// findAttr copies the named attribute's value out of the document, for
+// fields the handler keeps.
+func (p *parser) findAttr(name string) string { return string(p.find(name)) }
+
 func (p *parser) intAttr(name string) int64 {
-	v, err := strconv.ParseInt(p.findAttr(name), 10, 64)
+	v, err := strconv.ParseInt(string(p.find(name)), 10, 64)
 	if err != nil {
 		return 0
 	}
@@ -421,7 +468,7 @@ func (p *parser) intAttr(name string) int64 {
 }
 
 func (p *parser) floatAttr(name string) float64 {
-	v, err := strconv.ParseFloat(p.findAttr(name), 64)
+	v, err := strconv.ParseFloat(string(p.find(name)), 64)
 	if err != nil {
 		return 0
 	}
@@ -435,7 +482,7 @@ func (p *parser) parent() string {
 	return p.stk[len(p.stk)-1]
 }
 
-func (p *parser) openElement(name string, selfClosing bool) error {
+func (p *parser) openElement(nameb []byte, selfClosing bool, start int) error {
 	if p.skip > 0 {
 		if !selfClosing {
 			p.skip++
@@ -443,7 +490,7 @@ func (p *parser) openElement(name string, selfClosing bool) error {
 		return nil
 	}
 	parent := p.parent()
-	known := true
+	name := elementName(nameb)
 	switch name {
 	case "GANGLIA_XML":
 		if parent != "" {
@@ -471,6 +518,7 @@ func (p *parser) openElement(name string, selfClosing bool) error {
 		if parent != "CLUSTER" {
 			return p.errf("HOST inside <%s>", parent)
 		}
+		p.hostStart = start
 		if p.h.StartHost != nil {
 			p.h.StartHost(Host{
 				Name:     p.findAttr("NAME"),
@@ -489,7 +537,7 @@ func (p *parser) openElement(name string, selfClosing bool) error {
 			typ := metric.ParseType(p.findAttr("TYPE"))
 			p.h.Metric(metric.Metric{
 				Name:   p.findAttr("NAME"),
-				Val:    metric.NewTyped(typ, p.findAttr("VAL")),
+				Val:    metric.ParseTyped(typ, p.find("VAL")),
 				Units:  p.findAttr("UNITS"),
 				Slope:  metric.ParseSlope(p.findAttr("SLOPE")),
 				TN:     uint32(p.intAttr("TN")),
@@ -556,9 +604,6 @@ func (p *parser) openElement(name string, selfClosing bool) error {
 			})
 		}
 	default:
-		known = false
-	}
-	if !known {
 		if !selfClosing {
 			p.skip = 1
 		}
@@ -571,7 +616,22 @@ func (p *parser) openElement(name string, selfClosing bool) error {
 	return nil
 }
 
-func (p *parser) closeElement(name string) error {
+// elements lists the DTD's element names, most frequent first.
+var elements = [...]string{"METRIC", "HOST", "METRICS", "POINT", "CLUSTER", "GRID",
+	"HOSTS", "SOURCE_HEALTH", "HISTORY", "GANGLIA_XML"}
+
+// elementName returns the known element b spells — as a constant, so
+// the nesting stack holds no document bytes — or "" for an unknown one.
+func elementName(b []byte) string {
+	for _, e := range elements {
+		if string(b) == e {
+			return e
+		}
+	}
+	return ""
+}
+
+func (p *parser) closeElement(name []byte) error {
 	if p.skip > 0 {
 		p.skip--
 		return nil
@@ -580,11 +640,11 @@ func (p *parser) closeElement(name string) error {
 		return p.errf("unmatched </%s>", name)
 	}
 	top := p.stk[len(p.stk)-1]
-	if top != name {
+	if top != string(name) {
 		return p.errf("</%s> closes <%s>", name, top)
 	}
 	p.stk = p.stk[:len(p.stk)-1]
-	return p.dispatchEnd(name)
+	return p.dispatchEnd(top)
 }
 
 func (p *parser) dispatchEnd(name string) error {
@@ -604,7 +664,7 @@ func (p *parser) dispatchEnd(name string) error {
 		}
 	case "HOST":
 		if p.h.EndHost != nil {
-			p.h.EndHost()
+			p.h.EndHost(p.hostStart, p.pos)
 		}
 	case "HISTORY":
 		if p.h.EndHistory != nil {
@@ -682,7 +742,7 @@ func Parse(r io.Reader) (*Report, error) {
 			curHost = &h
 			curClu.Hosts = append(curClu.Hosts, curHost)
 		},
-		EndHost: func() { curHost = nil },
+		EndHost: func(int, int) { curHost = nil },
 		Metric: func(m metric.Metric) {
 			curHost.Metrics = append(curHost.Metrics, m)
 		},

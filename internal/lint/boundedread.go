@@ -17,8 +17,10 @@ capped before consumption.
 The paper's scalability argument is an O(m) bound on what crosses each
 edge of the monitoring tree; MaxReportBytes and the codecs' length
 checks are how this port keeps that bound real. An uncapped io.ReadAll,
-Parse/ParseStream or ReadString on a raw conn lets one hostile or
-buggy source grow the daemon's memory without limit. In the codec and
+Parse/ParseStream/ReadReport (the parser works on the whole document in
+memory, so reading a report is reading all of it) or ReadString on a raw
+conn lets one hostile or buggy source grow the daemon's memory without
+limit. In the codec and
 poll/serve/viewer packages (internal/xdr, internal/gxml,
 internal/gmetad, internal/webfront), any consumption of a reader that
 traces back to a Dial/Accept/Open result or net-typed value must pass
@@ -99,9 +101,10 @@ func consumptionArg(pass *Pass, call *ast.CallExpr) (ast.Expr, string, bool) {
 	if _, ok := pkgFuncCall(info, call, "io", "Copy"); ok && len(call.Args) == 2 {
 		return call.Args[1], "io.Copy", true
 	}
-	// gxml.Parse / gxml.ParseStream, qualified or package-local.
+	// gxml.Parse / gxml.ParseStream / gxml.ReadReport, qualified or
+	// package-local: each reads its reader to EOF into memory.
 	if f := calleeFunc(info, call); f != nil && f.Pkg() != nil {
-		if f.Pkg().Path() == "ganglia/internal/gxml" && (f.Name() == "Parse" || f.Name() == "ParseStream") && len(call.Args) >= 1 {
+		if f.Pkg().Path() == "ganglia/internal/gxml" && (f.Name() == "Parse" || f.Name() == "ParseStream" || f.Name() == "ReadReport") && len(call.Args) >= 1 {
 			return call.Args[0], "gxml." + f.Name(), true
 		}
 	}

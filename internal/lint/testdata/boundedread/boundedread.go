@@ -7,6 +7,8 @@ import (
 	"bufio"
 	"io"
 	"net"
+
+	"ganglia/internal/gxml"
 )
 
 // bad drains a raw connection with no cap.
@@ -41,4 +43,30 @@ func callerBounded(r io.Reader) ([]byte, error) {
 // allowed demonstrates a reasoned escape.
 func allowed(c net.Conn) ([]byte, error) {
 	return io.ReadAll(c) //lint:allow boundedread testdata demonstrates a sanctioned unbounded read
+}
+
+// badReport reads a whole report off a raw connection: the parser works
+// on the document in memory, so this is an unbounded allocation.
+func badReport(c net.Conn) ([]byte, error) {
+	return gxml.ReadReport(c, nil) // want "no size cap"
+}
+
+// cappedReader stands in for gmetad's MaxReportBytes enforcer.
+type cappedReader struct {
+	r         io.Reader
+	remaining int64
+}
+
+func (cr *cappedReader) Read(p []byte) (int, error) {
+	if int64(len(p)) > cr.remaining {
+		p = p[:cr.remaining]
+	}
+	n, err := cr.r.Read(p)
+	cr.remaining -= int64(n)
+	return n, err
+}
+
+// goodReport reads the report behind the cap.
+func goodReport(c net.Conn, buf []byte) ([]byte, error) {
+	return gxml.ReadReport(&cappedReader{r: c, remaining: 1 << 20}, buf)
 }

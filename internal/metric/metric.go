@@ -175,6 +175,20 @@ func NewTyped(t Type, text string) Value {
 	return Value{typ: t, num: f}
 }
 
+// ParseTyped is NewTyped for text that still sits in a parse buffer:
+// only a non-numeric value copies it out, so the common numeric metric
+// costs the parser no allocation.
+func ParseTyped(t Type, text []byte) Value {
+	if !t.Numeric() {
+		return Value{typ: t, str: string(text)}
+	}
+	f, err := strconv.ParseFloat(string(text), 64)
+	if err != nil {
+		f = 0
+	}
+	return Value{typ: t, num: f}
+}
+
 // Type returns the value's type.
 func (v Value) Type() Type { return v.typ }
 

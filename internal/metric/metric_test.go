@@ -105,6 +105,29 @@ func TestNewTypedNumericParsing(t *testing.T) {
 	}
 }
 
+// TestParseTypedMatchesNewTyped: the parse-buffer form builds the same
+// value as NewTyped for every type, copies non-numeric text out of the
+// buffer, and costs a numeric value no allocation.
+func TestParseTypedMatchesNewTyped(t *testing.T) {
+	for typ := TypeString; typ <= TypeTimestamp; typ++ {
+		for _, text := range []string{"", "0", "2.50", "-17", "1e3", "not-a-number", "Linux <x>"} {
+			if got, want := ParseTyped(typ, []byte(text)), NewTyped(typ, text); got != want {
+				t.Errorf("ParseTyped(%v, %q) = %#v, NewTyped gives %#v", typ, text, got, want)
+			}
+		}
+	}
+	buf := []byte("linux")
+	v := ParseTyped(TypeString, buf)
+	buf[0] = 'L'
+	if v.Text() != "linux" {
+		t.Errorf("string value aliases the parse buffer: %q", v.Text())
+	}
+	num := []byte("12345.678")
+	if allocs := testing.AllocsPerRun(100, func() { v = ParseTyped(TypeDouble, num) }); allocs != 0 {
+		t.Errorf("numeric ParseTyped allocates %.0f times", allocs)
+	}
+}
+
 func TestHeartbeat(t *testing.T) {
 	hb := Heartbeat(12345, 20)
 	if hb.Name != HeartbeatName {

@@ -237,7 +237,10 @@ func (d *Database) Update(t time.Time, v float64) error {
 		return nil
 	}
 	if !t.After(d.lastUpdate) {
-		return fmt.Errorf("%w: %v <= %v", ErrPastUpdate, t, d.lastUpdate)
+		// The bare sentinel: coalesced samples (two ingests within one
+		// instant) are routine on the archive hot path, and formatting
+		// two timestamps per rejected sample dominated it.
+		return ErrPastUpdate
 	}
 
 	interval := t.Sub(d.lastUpdate)

@@ -410,6 +410,28 @@ func TestBatcherEquivalence(t *testing.T) {
 	}
 }
 
+// TestRejectedUpdateAllocsNothing gates the archive hot path's cheapest
+// case: a sample coalesced away because its instant was already written
+// (two ingests of one source within one archive step) must cost the
+// bare sentinel, not a formatted error.
+func TestRejectedUpdateAllocsNothing(t *testing.T) {
+	p := NewPool(smallSpec())
+	at := t0.Add(15 * time.Second)
+	if err := p.UpdateSeries("c", "h", "m", at, 1); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		err = p.UpdateSeries("c", "h", "m", at, 2)
+	})
+	if err != ErrPastUpdate {
+		t.Fatalf("rejected update returned %v, want the bare ErrPastUpdate", err)
+	}
+	if allocs != 0 {
+		t.Errorf("rejected UpdateSeries allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestBatcherFlushContinuesPastErrors(t *testing.T) {
 	p := NewPool(smallSpec())
 	b := NewBatcher(p)
