@@ -297,8 +297,8 @@ func main() {
 			snap := g.Accounting().Snapshot()
 			fmt.Printf("gmetad: %d queries served (%d cache hits, %d misses, %d bytes evicted), %d connections rejected\n",
 				snap.Queries, snap.CacheHits, snap.CacheMisses, snap.CacheEvictedBytes, snap.RejectedConns)
-			fmt.Printf("gmetad: %d fragment renders (%d serve-time fallbacks), render time %v of %v total work\n",
-				snap.FragmentRenders, snap.FragmentFallbacks, snap.Render, snap.Work())
+			fmt.Printf("gmetad: %d fragment renders, render time %v of %v total work\n",
+				snap.FragmentRenders, snap.Render, snap.Work())
 			if hosts := snap.HostsParsed + snap.HostsReused; hosts > 0 {
 				fmt.Printf("gmetad: %d HOST elements ingested, %d parsed, %d reused unchanged (%.1f%%)\n",
 					hosts, snap.HostsParsed, snap.HostsReused, 100*float64(snap.HostsReused)/float64(hosts))

@@ -38,8 +38,7 @@ type Accounting struct {
 	cacheEvictedBytes atomic.Int64
 	rejectedConns     atomic.Int64
 
-	fragmentRenders   atomic.Int64
-	fragmentFallbacks atomic.Int64
+	fragmentRenders atomic.Int64
 
 	addrDialFails   atomic.Int64
 	backoffs        atomic.Int64
@@ -76,9 +75,9 @@ type Snapshot struct {
 	Summarize     time.Duration
 	Archive       time.Duration
 	Serve         time.Duration
-	// Render is time spent rendering per-source XML fragments on the
-	// poll path — serialization work the zero-copy serve pipeline moved
-	// from once-per-query to once-per-poll-generation.
+	// Render is time spent rendering per-source XML fragments, each by
+	// its snapshot's first reader — serialization work the zero-copy
+	// serve pipeline moved from once-per-query to once per snapshot read.
 	Render time.Duration
 
 	BytesIn  int64
@@ -107,12 +106,14 @@ type Snapshot struct {
 	CacheEvictedBytes int64
 	RejectedConns     int64
 
-	// FragmentRenders counts per-source fragment renderings (one per
-	// published snapshot generation); FragmentFallbacks counts serve
-	// renders that found no fragment matching the live snapshot (the
-	// reader caught the publish window) and rendered from the snapshot
-	// directly.
-	FragmentRenders   int64
+	// FragmentRenders counts per-source fragment renderings: one per
+	// published snapshot that something read, none for a snapshot
+	// nobody read.
+	FragmentRenders int64
+	// FragmentFallbacks is always zero. Fragments are built on read, so
+	// no fallback exists; the field is kept for the standing benchmark's
+	// per-layer gmetad.fragment_fallbacks metric and goes with the next
+	// change to that benchmark.
 	FragmentFallbacks int64
 
 	// AddrDialFails counts individual address dial failures (a source
@@ -202,8 +203,7 @@ func (a *Accounting) Snapshot() Snapshot {
 		CacheEvictedBytes: a.cacheEvictedBytes.Load(),
 		RejectedConns:     a.rejectedConns.Load(),
 
-		FragmentRenders:   a.fragmentRenders.Load(),
-		FragmentFallbacks: a.fragmentFallbacks.Load(),
+		FragmentRenders: a.fragmentRenders.Load(),
 
 		AddrDialFails:   a.addrDialFails.Load(),
 		Backoffs:        a.backoffs.Load(),
@@ -253,8 +253,7 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		CacheEvictedBytes: s.CacheEvictedBytes - o.CacheEvictedBytes,
 		RejectedConns:     s.RejectedConns - o.RejectedConns,
 
-		FragmentRenders:   s.FragmentRenders - o.FragmentRenders,
-		FragmentFallbacks: s.FragmentFallbacks - o.FragmentFallbacks,
+		FragmentRenders: s.FragmentRenders - o.FragmentRenders,
 
 		AddrDialFails:   s.AddrDialFails - o.AddrDialFails,
 		Backoffs:        s.Backoffs - o.Backoffs,
@@ -282,12 +281,14 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 	}
 }
 
-// timed runs f and adds its duration to the counter. Phase timing uses
-// the real monotonic clock even when the daemon logic runs on a virtual
-// clock: virtual time positions the polling rounds, real time measures
-// how much processing each round cost.
-func timed(counter *atomic.Int64, f func()) {
+// timed runs f, adds its duration to the counter and returns it. Phase
+// timing uses the real monotonic clock even when the daemon logic runs
+// on a virtual clock: virtual time positions the polling rounds, real
+// time measures how much processing each round cost.
+func timed(counter *atomic.Int64, f func()) time.Duration {
 	start := time.Now() //lint:allow clock phase timing measures real processing cost even under a virtual clock
 	f()
-	counter.Add(int64(time.Since(start))) //lint:allow clock phase timing measures real processing cost even under a virtual clock
+	d := time.Since(start) //lint:allow clock phase timing measures real processing cost even under a virtual clock
+	counter.Add(int64(d))
+	return d
 }

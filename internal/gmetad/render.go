@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"ganglia/internal/gxml"
 	"ganglia/internal/query"
@@ -18,9 +19,9 @@ import (
 // response is assembled in three layers, none of which copies the hash
 // DOM:
 //
-//  1. Per-source fragments: a source's subtree is rendered to bytes
-//     once per snapshot generation (renderFragment, called from the
-//     poll path) and spliced into every response that wants it.
+//  1. Per-source fragments: a snapshot's subtree is rendered to bytes
+//     by the snapshot's first reader (fragment) and spliced into every
+//     response that wants it; the poll path renders nothing.
 //  2. renderBody streams a query's answer — fragment splices for whole
 //     sources, direct snapshot-to-bytes rendering for narrower
 //     selections — into one buffer, presized from the fragment sizes.
@@ -63,17 +64,36 @@ func buildHeaderPrefix(gridName, authority string, emitDTD bool) []byte {
 	return b
 }
 
+// fragment returns data's fragment, rendering it if data has not been
+// read before. The render is render work; within is the phase counter
+// the reader is itself timed into (nil if none), from which the render's
+// time is taken back so Work counts it once.
+func (g *Gmetad) fragment(data *sourceData, within *atomic.Int64) *sourceFragment {
+	c := data.frag
+	c.once.Do(func() {
+		d := timed(&g.acct.render, func() {
+			c.frag.Store(renderFragment(data, g.cfg.Mode, c.prev.Load()))
+		})
+		if within != nil {
+			within.Add(-int64(d))
+		}
+		c.prev.Store(nil)
+		g.acct.fragmentRenders.Add(1)
+	})
+	return c.frag.Load()
+}
+
 // renderFragment renders one snapshot's subtree to a fragment, with the
-// snapshot's age baked into every TN. Rendering happens once per
-// snapshot generation, on the poll path; the serve path only splices.
+// snapshot's age baked into every TN. Its one caller is the fragment
+// cell's build.
 //
-// prev is the slot's previous fragment (nil for none). A host the new
-// snapshot shares with it by pointer — the ingest memo found its element
-// unchanged — and rendered at the same age is not serialized again: its
-// bytes are copied from prev's buffer, so a snapshot's render cost
-// follows what changed in it.
+// prev is the slot's most recent built fragment (nil for none). A host
+// the new snapshot shares with it by pointer — the ingest memo found its
+// element unchanged — and rendered at the same age is not serialized
+// again: its bytes are copied from prev's buffer, so a snapshot's render
+// cost follows what changed in it.
 func renderFragment(data *sourceData, mode Mode, prev *sourceFragment) *sourceFragment {
-	f := &sourceFragment{epoch: data.epoch, age: data.age}
+	f := &sourceFragment{age: data.age}
 	r := fragmentRenderer{f: f, prev: prev}
 	r.buf.Grow(prev.size())
 	if prev != nil && prev.age != data.age {
@@ -240,52 +260,27 @@ func (g *Gmetad) renderRoot(summaryFilter bool) ([]byte, error) {
 		return buf.Bytes(), w.Flush()
 	}
 
-	// One consistent view per slot, taken once; presize the buffer from
-	// the fragment sizes so splicing large trees does not reallocate.
-	type view struct {
-		data *sourceData
-		frag *sourceFragment
-	}
-	views := make([]view, len(slots))
+	// One fragment per slot, taken once; presize the buffer from the
+	// fragment sizes so splicing large trees does not reallocate.
+	frags := make([]*sourceFragment, 0, len(slots))
 	size := 256
-	for i, slot := range slots {
-		views[i].data, views[i].frag = slot.view()
-		size += views[i].frag.size()
+	for _, slot := range slots {
+		if data, _ := slot.snapshot(); data != nil {
+			f := g.fragment(data, &g.acct.serve)
+			frags = append(frags, f)
+			size += f.size()
+		}
 	}
 
 	var buf bytes.Buffer
 	buf.Grow(size)
 	w := gxml.NewWriter(&buf)
 	g.renderHealth(w, slots)
-	for _, v := range views {
-		if v.data == nil || v.data.kind != SourceGmond {
-			continue
-		}
-		if v.frag != nil {
-			w.Raw(v.frag.clusters)
-			continue
-		}
-		g.countFallbackRender()
-		for _, cname := range v.data.clusterOrder {
-			writeClusterFull(w, v.data.clusters[cname], v.data.age)
-		}
+	for _, f := range frags {
+		w.Raw(f.clusters)
 	}
-	for _, v := range views {
-		if v.data == nil || v.data.kind == SourceGmond {
-			continue
-		}
-		if v.frag != nil {
-			w.Raw(v.frag.grids)
-			continue
-		}
-		g.countFallbackRender()
-		if g.cfg.Mode == NLevel {
-			writeSummaryGrid(w, v.data)
-		} else {
-			for _, child := range v.data.grids {
-				w.GridAged(child, v.data.age)
-			}
-		}
+	for _, f := range frags {
+		w.Raw(f.grids)
 	}
 	return buf.Bytes(), w.Flush()
 }
@@ -312,8 +307,7 @@ func (g *Gmetad) renderSource(q *query.Query) ([]byte, error) {
 	wg := gxml.NewWriter(&gbuf) // GRID elements
 	found := false
 
-	emitSource := func(slot *sourceSlot) {
-		data, frag := slot.view()
+	emitSource := func(data *sourceData) {
 		if data == nil {
 			return
 		}
@@ -322,41 +316,24 @@ func (g *Gmetad) renderSource(q *query.Query) ([]byte, error) {
 			if len(data.clusterOrder) == 0 {
 				return
 			}
-			switch {
-			case q.Filter == query.FilterSummary:
+			if q.Filter == query.FilterSummary {
 				for _, cname := range data.clusterOrder {
 					writeSummaryCluster(wc, data.clusters[cname])
 				}
-			case frag != nil:
+			} else {
 				// All the source's clusters at once: exactly the
 				// fragment's cluster section.
-				wc.Raw(frag.clusters)
-			default:
-				g.countFallbackRender()
-				for _, cname := range data.clusterOrder {
-					writeClusterFull(wc, data.clusters[cname], data.age)
-				}
+				wc.Raw(g.fragment(data, &g.acct.serve).clusters)
 			}
 			found = true
 		case g.cfg.Mode == NLevel || q.Filter == query.FilterSummary:
-			if g.cfg.Mode == NLevel && frag != nil {
-				wg.Raw(frag.grids)
-			} else {
-				writeSummaryGrid(wg, data)
-			}
+			writeSummaryGrid(wg, data)
 			found = true
 		default:
 			if len(data.grids) == 0 {
 				return
 			}
-			if frag != nil {
-				wg.Raw(frag.grids)
-			} else {
-				g.countFallbackRender()
-				for _, child := range data.grids {
-					wg.GridAged(child, data.age)
-				}
-			}
+			wg.Raw(g.fragment(data, &g.acct.serve).grids)
 			found = true
 		}
 	}
@@ -378,19 +355,27 @@ func (g *Gmetad) renderSource(q *query.Query) ([]byte, error) {
 		slot, ok := g.slots[m.Name()]
 		g.mu.RUnlock()
 		if ok {
-			emitSource(slot)
+			data, _ := slot.snapshot()
+			emitSource(data)
 		} else if data, c := g.findCluster(m.Name()); c != nil {
 			emitCluster(data, c)
 		}
 	} else {
+		// One snapshot per slot, taken once: the source pass, the seen
+		// set and the nested-cluster pass must all see the same
+		// generation, or a publish landing between them would mix two
+		// generations of one source into one answer.
 		slots := g.snapshotOrder()
+		snaps := make([]*sourceData, len(slots))
+		for i, slot := range slots {
+			snaps[i], _ = slot.snapshot()
+		}
 		seen := map[string]bool{}
-		for _, slot := range slots {
+		for i, slot := range slots {
 			if m.Match(slot.cfg.Name) {
-				emitSource(slot)
-				data, _ := slot.snapshot()
-				if data != nil {
-					for _, cname := range data.clusterOrder {
+				emitSource(snaps[i])
+				if snaps[i] != nil {
+					for _, cname := range snaps[i].clusterOrder {
 						seen[cname] = true
 					}
 				}
@@ -398,8 +383,7 @@ func (g *Gmetad) renderSource(q *query.Query) ([]byte, error) {
 			}
 		}
 		// Also match nested clusters not already covered.
-		for _, slot := range slots {
-			data, _ := slot.snapshot()
+		for _, data := range snaps {
 			if data == nil {
 				continue
 			}
@@ -512,13 +496,6 @@ func (g *Gmetad) renderHost(q *query.Query) ([]byte, error) {
 	return buf.Bytes(), w.Flush()
 }
 
-// countFallbackRender accounts a serve-path render that could not
-// splice a fragment (the reader caught the window between a snapshot
-// publish and its fragment publish).
-func (g *Gmetad) countFallbackRender() {
-	g.acct.fragmentFallbacks.Add(1)
-}
-
 // writeAnswer resolves q through the response cache (when enabled),
 // rendering on a miss, and writes header + body + footer to w. A
 // non-nil error means nothing was written and the caller should emit
@@ -572,18 +549,25 @@ func (g *Gmetad) writeAnswer(w io.Writer, q *query.Query) error {
 var footerBytes = []byte(respFooter)
 
 // WriteAnswer renders the full response to a query into w — the serve
-// path without the socket. Benchmarks and tools use it to measure the
-// render pipeline in isolation. History queries stream from the archive
-// pool (history.go), uncached; everything else goes through the
-// response cache and fragment splicing.
+// path without the socket, accounted as serve work like a query-port
+// answer. Benchmarks and tools use it to measure the render pipeline in
+// isolation. History queries stream from the archive pool (history.go),
+// uncached; everything else goes through the response cache and
+// fragment splicing.
 func (g *Gmetad) WriteAnswer(w io.Writer, q *query.Query) error {
 	switch q.Filter {
-	case query.FilterHistory:
-		return g.writeHistoryAnswer(w, q)
 	case query.FilterStream, query.FilterStreamSummary, query.FilterWatch:
 		// Subscriptions and long-polls are connection protocols, not
 		// renderings; they only exist on the interactive port.
 		return fmt.Errorf("gmetad: WriteAnswer does not serve %s queries", q.Filter)
 	}
-	return g.writeAnswer(w, q)
+	var err error
+	timed(&g.acct.serve, func() {
+		if q.Filter == query.FilterHistory {
+			err = g.writeHistoryAnswer(w, q)
+		} else {
+			err = g.writeAnswer(w, q)
+		}
+	})
+	return err
 }

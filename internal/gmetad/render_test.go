@@ -186,18 +186,129 @@ func TestRenderMatchesReferenceAfterFailureAging(t *testing.T) {
 	assertPipelinesAgree(t, g, host, "aged")
 }
 
-// TestRenderFallbackWithoutFragment wipes the published fragments, so
-// every splice misses and the serve path falls back to rendering from
-// the snapshot directly — output must not change.
-func TestRenderFallbackWithoutFragment(t *testing.T) {
-	_, g, host := buildRenderRig(t, NLevel, false)
-	for _, slot := range g.snapshotOrder() {
-		slot.frag.Store(nil)
+// TestRenderUnbuiltFragments runs the corpus against a daemon whose
+// fragments were never built: fresh and re-aged snapshots nobody read.
+// The corpus's first reader of each snapshot builds its fragment — once
+// per slot, whatever the number of answers splicing it — and every
+// answer still matches the reference.
+func TestRenderUnbuiltFragments(t *testing.T) {
+	r, g, host := buildRenderRig(t, NLevel, false)
+	r.net.Fail("nashi:8649")
+	r.clk.Advance(15 * time.Second)
+	g.PollOnce(r.clk.Now())
+	if n := g.Accounting().Snapshot().FragmentRenders; n != 0 {
+		t.Fatalf("%d fragments rendered before any read", n)
 	}
-	assertPipelinesAgree(t, g, host, "fallback")
-	if fb := g.Accounting().Snapshot().FragmentFallbacks; fb == 0 {
-		t.Error("fallback renders were not accounted")
+	assertPipelinesAgree(t, g, host, "unbuilt")
+	if n := g.Accounting().Snapshot().FragmentRenders; n != 3 {
+		t.Errorf("the corpus rendered %d fragments, want one per slot (3)", n)
 	}
+}
+
+// TestPollRendersOnlyOnRead pins where render cost is paid. Polling —
+// fresh, failed and breaker-deferred rounds alike — renders nothing; a
+// snapshot's fragment is rendered once, by its first reader, and every
+// later reader of that snapshot shares it. On an N-level tree nothing
+// reads a fragment until a viewer asks for one; in 1-level mode every
+// parent poll reads each child slot's fragment.
+func TestPollRendersOnlyOnRead(t *testing.T) {
+	renders := func(g *Gmetad) int64 { return g.Accounting().Snapshot().FragmentRenders }
+	build := func(t *testing.T, mode Mode, cacheOff bool) (*rig, *Gmetad, *Gmetad) {
+		r := newRig(t)
+		r.cluster("meteor", "meteor:8649", 6, 1)
+		r.cluster("nashi", "nashi:8649", 4, 2)
+		r.cluster("presto", "presto:8649", 3, 3)
+		child := r.gmetad(Config{
+			GridName:  "sdsc",
+			Authority: "http://sdsc/",
+			Mode:      mode,
+			Sources:   []DataSource{{Name: "presto", Kind: SourceGmond, Addrs: []string{"presto:8649"}}},
+		}, "sdsc:8652")
+		g := r.gmetad(Config{
+			GridName:             "root",
+			Authority:            "http://root/",
+			Mode:                 mode,
+			BreakerThreshold:     2,
+			DisableResponseCache: cacheOff,
+			Sources: []DataSource{
+				{Name: "meteor", Kind: SourceGmond, Addrs: []string{"meteor:8649"}},
+				{Name: "nashi", Kind: SourceGmond, Addrs: []string{"nashi:8649"}},
+				{Name: "sdsc", Kind: SourceGmetad, Addrs: []string{"sdsc:8652"}},
+			},
+		}, "root:8652")
+		return r, child, g
+	}
+	round := func(r *rig, gs ...*Gmetad) {
+		now := r.clk.Advance(15 * time.Second)
+		for _, g := range gs {
+			g.PollOnce(now)
+		}
+	}
+
+	for _, cacheOff := range []bool{false, true} {
+		t.Run(fmt.Sprintf("N-level/cache-off=%v", cacheOff), func(t *testing.T) {
+			r, child, g := build(t, NLevel, cacheOff)
+			round(r, child, g)
+			// nashi fails twice, opening its breaker; the rounds after
+			// that are deferred. Both kinds re-age its snapshot.
+			r.net.Fail("nashi:8649")
+			for i := 0; i < 5; i++ {
+				round(r, child, g)
+			}
+			s := g.Accounting().Snapshot()
+			if s.PollFails == 0 || s.BreakerSkips == 0 {
+				t.Fatalf("rig did not exercise failed and deferred rounds: %d fails, %d skips", s.PollFails, s.BreakerSkips)
+			}
+			for name, d := range map[string]*Gmetad{"root": g, "child": child} {
+				if s := d.Accounting().Snapshot(); s.FragmentRenders != 0 || s.Render != 0 {
+					t.Errorf("%s: polling with no readers rendered %d fragments in %v", name, s.FragmentRenders, s.Render)
+				}
+			}
+
+			// The first depth-0 answer reads, and so renders, each slot.
+			var buf bytes.Buffer
+			if err := g.WriteAnswer(&buf, query.MustParse("/")); err != nil {
+				t.Fatal(err)
+			}
+			if n := renders(g); n != 3 {
+				t.Fatalf("first depth-0 answer rendered %d fragments, want one per slot (3)", n)
+			}
+			// Every later reader of the same epoch shares those builds.
+			if _, err := r.askRaw("root:8652", "/"); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []string{"/", "/meteor", "/sdsc"} {
+				if err := g.WriteAnswer(io.Discard, query.MustParse(q)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := g.captureFeed(false); err != nil {
+				t.Fatal(err)
+			}
+			if n := renders(g); n != 3 {
+				t.Errorf("readers of one epoch rendered %d fragments, want the first reader's 3", n)
+			}
+			if n := renders(child); n != 0 {
+				t.Errorf("N-level summary polls rendered %d child fragments", n)
+			}
+		})
+	}
+
+	t.Run("1-level", func(t *testing.T) {
+		r, child, g := build(t, OneLevel, false)
+		const rounds = 4
+		for i := 0; i < rounds; i++ {
+			round(r, child, g)
+		}
+		// Each parent poll is the first reader of the child's one fresh
+		// snapshot; nothing reads the parent.
+		if n := renders(child); n != rounds {
+			t.Errorf("child rendered %d fragments over %d parent polls, want %d", n, rounds, rounds)
+		}
+		if n := renders(g); n != 0 {
+			t.Errorf("unread parent rendered %d fragments", n)
+		}
+	})
 }
 
 // TestRenderOverWire proves the corpus end to end through the query

@@ -176,13 +176,12 @@ func (g *Gmetad) ingest(slot *sourceSlot, addr string, memo *hostMemo, doc []byt
 // subscription link apply state through the same door, so health,
 // breaker and failover semantics cannot diverge between them: the
 // slate is cleared (address backoff, breaker streak, stretched
-// cadence), the rendered fragment and summary delta are published off
-// the slot lock, and the epoch bump retires stale cached responses.
+// cadence), the summary delta is published off the slot lock, and the
+// epoch bump retires stale cached responses. Nothing is rendered here:
+// the snapshot's first reader builds its fragment.
 func (g *Gmetad) publishData(slot *sourceSlot, addr string, data *sourceData, now time.Time) {
 	slot.mu.Lock()
-	slot.version++
-	data.epoch = slot.version
-	slot.data = data
+	slot.install(data)
 	recovered := slot.failed
 	var wasDown time.Duration
 	if recovered {
@@ -211,13 +210,12 @@ func (g *Gmetad) publishData(slot *sourceSlot, addr string, data *sourceData, no
 		g.acct.failovers.Add(1)
 	}
 
-	// Render the snapshot's fragment and fold its summary delta into
-	// the tree tracker, off the slot lock. The new snapshot is then
-	// visible; retire every cached response built from the previous
-	// epoch. Ordering matters: publish first, bump second, so a query
-	// that observes the new epoch always renders from (at least) the
-	// new snapshot.
-	g.publishRendered(slot, data)
+	// Fold the snapshot's summary delta into the tree tracker, off the
+	// slot lock. The new snapshot is then visible; retire every cached
+	// response built from the previous epoch. Ordering matters: publish
+	// first, bump second, so a query that observes the new epoch always
+	// renders from (at least) the new snapshot.
+	g.publishSummary(slot, data)
 	g.bumpEpoch()
 	g.emitFabricSamples(data, now)
 
@@ -231,18 +229,10 @@ func (g *Gmetad) publishData(slot *sourceSlot, addr string, data *sourceData, no
 	}
 }
 
-// publishRendered completes a snapshot publication off the slot lock:
-// the source's XML fragment is rendered once — every response of this
-// generation splices it instead of re-serializing the subtree — and in
+// publishSummary completes a snapshot publication off the slot lock: in
 // N-level mode the snapshot's reduction is folded into the incremental
-// tree summary. Readers that catch the window before the fragment
-// store see an epoch mismatch and render from the snapshot directly;
-// the tracker rejects stale generations on its own.
-func (g *Gmetad) publishRendered(slot *sourceSlot, data *sourceData) {
-	timed(&g.acct.render, func() {
-		slot.frag.Store(renderFragment(data, g.cfg.Mode, slot.frag.Load()))
-	})
-	g.acct.fragmentRenders.Add(1)
+// tree summary, which rejects stale generations on its own.
+func (g *Gmetad) publishSummary(slot *sourceSlot, data *sourceData) {
 	if g.tracker != nil {
 		g.tracker.Publish(slot.cfg.Name, data.epoch, data.summaryOf())
 	}
@@ -253,9 +243,10 @@ func (g *Gmetad) publishRendered(slot *sourceSlot, data *sourceData) {
 // serialized TN values carry, so stale data keeps presenting as stale
 // without a per-request deep copy. The republished snapshot shares the
 // old one's maps and slices (they are immutable after publication);
-// only the top-level struct, its epoch, its fragment and the epoch bump
-// are new. A round where the whole-second age is unchanged republishes
-// nothing, so an idle clock does not churn the cache.
+// only the top-level struct, its epoch, its (unbuilt) fragment cell and
+// the epoch bump are new. A round where the whole-second age is
+// unchanged republishes nothing, so an idle clock does not churn the
+// cache.
 func (g *Gmetad) reAge(slot *sourceSlot, now time.Time) {
 	slot.mu.Lock()
 	data := slot.data
@@ -270,12 +261,10 @@ func (g *Gmetad) reAge(slot *sourceSlot, now time.Time) {
 	}
 	aged := *data
 	aged.age = age
-	slot.version++
-	aged.epoch = slot.version
-	slot.data = &aged
+	slot.install(&aged)
 	slot.mu.Unlock()
 
-	g.publishRendered(slot, &aged)
+	g.publishSummary(slot, &aged)
 	g.bumpEpoch()
 }
 

@@ -58,14 +58,6 @@ type sourceSlot struct {
 	// reproducible. Guarded by mu like the rest of the slot.
 	rng *rand.Rand
 
-	// frag is the source's rendered XML fragment, published after the
-	// snapshot it was rendered from. It is read without the slot lock;
-	// the epoch tag ties it to exactly one snapshot generation, so a
-	// reader that catches the window between a snapshot publish and its
-	// fragment publish detects the mismatch and renders from the
-	// snapshot directly instead of splicing withdrawn bytes.
-	frag atomic.Pointer[sourceFragment]
-
 	// sub is the slot's subscription state machine when the source is
 	// configured with Subscribe; nil for polled sources. It carries its
 	// own lock — the poll gate consults it without the slot lock.
@@ -129,11 +121,8 @@ func hostNameAt(doc []byte, start int) []byte {
 	return nil
 }
 
-// sourceFragment is one source's subtree rendered to XML, valid for
-// exactly one snapshot generation.
+// sourceFragment is one snapshot's subtree rendered to XML.
 type sourceFragment struct {
-	// epoch is the sourceData.epoch the fragment was rendered from.
-	epoch uint64
 	// clusters holds the rendered CLUSTER elements of a gmond source in
 	// clusterOrder; grids holds the rendered GRID elements of a gmetad
 	// source (the O(m) summary grid in N-level mode, the child's full
@@ -247,21 +236,44 @@ func (s *sourceSlot) snapshot() (*sourceData, bool) {
 	return s.data, s.failed
 }
 
-// view returns the current snapshot together with its fragment, when
-// the published fragment matches the snapshot's generation. A nil
-// fragment (none rendered yet, or one from a withdrawn generation)
-// tells the caller to render from the snapshot directly.
-func (s *sourceSlot) view() (*sourceData, *sourceFragment) {
-	s.mu.RLock()
-	data := s.data
-	s.mu.RUnlock()
-	if data == nil {
-		return nil, nil
+// install makes data the slot's current snapshot at the next version,
+// with an unbuilt fragment cell that carries the slot's most recent
+// fragment forward as the render's copy source. Caller holds s.mu.
+func (s *sourceSlot) install(data *sourceData) {
+	s.version++
+	data.epoch = s.version
+	data.frag = &fragCell{}
+	if s.data != nil {
+		data.frag.prev.Store(s.data.frag.latest())
 	}
-	if f := s.frag.Load(); f != nil && f.epoch == data.epoch {
-		return data, f
+	s.data = data
+}
+
+// fragCell holds a snapshot's rendered fragment. Nothing renders at
+// publish: the snapshot's first reader — a depth-0 or depth-1 answer,
+// the stream feed, a 1-level parent's poll — builds the fragment, and
+// every later reader of the snapshot shares that one build. A snapshot
+// nobody reads is never rendered, and since the fragment lives in the
+// snapshot it renders, it cannot belong to another generation.
+type fragCell struct {
+	once sync.Once
+	frag atomic.Pointer[sourceFragment]
+	// prev is the most recent fragment the slot built before this
+	// snapshot, carried forward across snapshots nobody read: the build
+	// copies the hosts it shares from it. It is dropped once the cell
+	// is built, so a slot holds at most one old fragment.
+	prev atomic.Pointer[sourceFragment]
+}
+
+// latest returns the cell's fragment if it was built, else the one it
+// would copy from. prev is loaded first: a build stores frag before it
+// clears prev, so a build racing this call cannot hide both.
+func (c *fragCell) latest() *sourceFragment {
+	p := c.prev.Load()
+	if f := c.frag.Load(); f != nil {
+		return f
 	}
-	return data, nil
+	return p
 }
 
 // sourceData is one immutable poll result.
@@ -282,6 +294,9 @@ type sourceData struct {
 	// which is the freshness the paper's §2.3.1 snapshot trade already
 	// grants the query engine.
 	age uint32
+	// frag is the snapshot's own fragment cell, set at publication; a
+	// re-aged copy gets a new one.
+	frag *fragCell
 
 	// clusters indexes every full-resolution cluster found in the
 	// report, including clusters nested in child grids (1-level mode).

@@ -509,8 +509,9 @@ func TestFragmentSpanReassembly(t *testing.T) {
 	}, "")
 	g.PollOnce(r.clk.Now())
 
-	_, frag := g.snapshotOrder()[0].view()
-	if frag == nil || len(frag.spans) == 0 {
+	data, _ := g.snapshotOrder()[0].snapshot()
+	frag := g.fragment(data, nil)
+	if len(frag.spans) == 0 {
 		t.Fatal("published fragment has no recorded spans")
 	}
 	var rebuilt []byte

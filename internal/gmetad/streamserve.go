@@ -19,8 +19,9 @@ import (
 // immutable snapshots into a persistent feed of generation-tagged
 // frames. A subscriber gets one FULL state sync, then a DELTA per epoch
 // bump carrying only the bytes that changed between two consecutive
-// captures — the diff runs over the per-source fragments the poll path
-// already rendered, through the byte spans recorded at render time, so
+// captures — the diff runs over the per-source fragments the serve path
+// shares (the feed builds a snapshot's fragment when it is the first to
+// read it), through the byte spans recorded at render time, so
 // producing a delta re-serializes nothing.
 
 // streamSet tracks the long-lived subscription and watch connections so
@@ -118,18 +119,9 @@ func (g *Gmetad) captureFeed(summaryForm bool) (*feedView, error) {
 	}
 	v.health = buf.Bytes()
 	for _, slot := range slots {
-		data, frag := slot.view()
-		if data == nil {
-			continue
+		if data, _ := slot.snapshot(); data != nil {
+			v.slots = append(v.slots, feedSlot{name: slot.cfg.Name, kind: data.kind, data: data, frag: g.fragment(data, nil)})
 		}
-		if frag == nil {
-			// The capture caught the window between a snapshot publish
-			// and its fragment publish; render one privately, spans and
-			// all, like the serve path's fallback.
-			g.countFallbackRender()
-			frag = renderFragment(data, g.cfg.Mode, nil)
-		}
-		v.slots = append(v.slots, feedSlot{name: slot.cfg.Name, kind: data.kind, data: data, frag: frag})
 	}
 	return v, nil
 }

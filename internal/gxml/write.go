@@ -58,8 +58,9 @@ func (w *Writer) Flush() error {
 }
 
 // Raw writes pre-serialized bytes verbatim: the splice operation behind
-// gmetad's fragment cache, where a source's subtree is rendered once
-// per poll generation and stitched into many responses.
+// gmetad's per-snapshot fragments, where a source's subtree is rendered
+// once per snapshot (by its first reader) and stitched into many
+// responses.
 func (w *Writer) Raw(b []byte) {
 	if w.err == nil {
 		_, w.err = w.out.Write(b)
