@@ -211,58 +211,50 @@ func BenchmarkExperimentRunners(b *testing.B) {
 	})
 }
 
-// BenchmarkServeThroughput measures the serve hot path before/after
-// the rendered-response cache: repeat queries against the fig-2 root
-// at the paper's Figure 5 scale (12 clusters × 100 hosts), with the
-// cache disabled and enabled. ns/op is one full query round trip; on
-// repeat queries the cached path must be several times faster (the
-// acceptance floor is 3×).
+// BenchmarkServeThroughput measures the serve hot path: repeat queries
+// against the fig-2 root at the paper's Figure 5 scale (12 clusters ×
+// 100 hosts). Every repeat of one poll epoch is answered from the
+// rendered-response cache; ns/op is one full query round trip.
 func BenchmarkServeThroughput(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		disable bool
-	}{{"uncached", true}, {"cached", false}} {
-		clk := clock.NewVirtual(benchT0)
-		inst, err := tree.Build(tree.FigureTwo(100), tree.BuildConfig{
-			Mode:                 gmetad.NLevel,
-			Clock:                clk,
-			DisableResponseCache: bc.disable,
+	clk := clock.NewVirtual(benchT0)
+	inst, err := tree.Build(tree.FigureTwo(100), tree.BuildConfig{
+		Mode:  gmetad.NLevel,
+		Clock: clk,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(inst.Close)
+	clk.Advance(15 * time.Second)
+	inst.PollRound(clk.Now())
+	for _, q := range []struct{ name, line string }{
+		{"Root", "/"},
+		{"Cluster", "/meteor-a"},
+		{"Host", "/meteor-a/compute-meteor-a-0"},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			ask := func() int64 {
+				conn, err := inst.Net.Dial(tree.QueryAddr("root"))
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer conn.Close()
+				if _, err := io.WriteString(conn, q.line+"\n"); err != nil {
+					b.Fatal(err)
+				}
+				n, err := io.Copy(io.Discard, conn)
+				if err != nil || n == 0 {
+					b.Fatalf("response: %d bytes, %v", n, err)
+				}
+				return n
+			}
+			bytes := ask() // warm the cache before timing
+			b.SetBytes(bytes)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ask()
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(inst.Close)
-		clk.Advance(15 * time.Second)
-		inst.PollRound(clk.Now())
-		for _, q := range []struct{ name, line string }{
-			{"Root", "/"},
-			{"Cluster", "/meteor-a"},
-			{"Host", "/meteor-a/compute-meteor-a-0"},
-		} {
-			b.Run(fmt.Sprintf("%s/%s", bc.name, q.name), func(b *testing.B) {
-				ask := func() int64 {
-					conn, err := inst.Net.Dial(tree.QueryAddr("root"))
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer conn.Close()
-					if _, err := io.WriteString(conn, q.line+"\n"); err != nil {
-						b.Fatal(err)
-					}
-					n, err := io.Copy(io.Discard, conn)
-					if err != nil || n == 0 {
-						b.Fatalf("response: %d bytes, %v", n, err)
-					}
-					return n
-				}
-				bytes := ask() // warm the cache before timing
-				b.SetBytes(bytes)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ask()
-				}
-			})
-		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command ganglia-bench regenerates the paper's evaluation: figure 5
 // (wide-area scalability), figure 6 (cluster-size sweep), table 1
-// (web-frontend query timings) and the §2.1 gmond bandwidth claim —
-// plus the serve-cache before/after.
+// (web-frontend query timings), the §2.1 gmond bandwidth claim, and the
+// fidelity check that a pseudo-gmond emulator costs gmetad what a real
+// gmond cluster does.
 //
 // Usage:
 //
@@ -10,13 +11,7 @@
 //	ganglia-bench -experiment fig6 -sizes 10,50,100,150,200,300,400,500
 //	ganglia-bench -experiment table1 -samples 5
 //	ganglia-bench -experiment bandwidth
-//	ganglia-bench -experiment serve -hosts 100
-//	ganglia-bench -experiment render -hosts 100 -json BENCH_render.json
-//	ganglia-bench -experiment chaos -seed 7
-//	ganglia-bench -experiment checkpoint -hosts 100
-//	ganglia-bench -experiment fabric -json BENCH_fabric.json
-//	ganglia-bench -experiment stream -json BENCH_stream.json
-//	ganglia-bench -experiment history -json BENCH_history.json
+//	ganglia-bench -experiment fidelity -hosts 100
 //
 // Each experiment prints the regenerated table or figure series, then
 // re-checks the paper's qualitative claims and reports any violations.
@@ -36,15 +31,13 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig5, fig6, table1, bandwidth, fidelity, serve, render, chaos, checkpoint, fabric, stream, history or all")
-		hosts      = flag.Int("hosts", 100, "hosts per cluster (fig5, table1, serve)")
+		experiment = flag.String("experiment", "all", "fig5, fig6, table1, bandwidth, fidelity or all")
+		hosts      = flag.Int("hosts", 100, "hosts per cluster (fig5, table1, fidelity)")
 		rounds     = flag.Int("rounds", 8, "measured polling rounds (fig5, fig6)")
 		samples    = flag.Int("samples", 5, "samples per view (table1)")
 		sizes      = flag.String("sizes", "", "comma-separated cluster sizes (fig6; default: paper sweep)")
 		csvDir     = flag.String("csv", "", "directory to write fig5.csv/fig6.csv/table1.csv into (optional)")
 		detail     = flag.Bool("detail", false, "also print the fig5 per-phase work breakdown")
-		seed       = flag.Int64("seed", 1, "fault-plan and jitter seed (chaos)")
-		jsonOut    = flag.String("json", "", "file to write the result into as a regression baseline (render, fabric, stream, history)")
 	)
 	flag.Parse()
 
@@ -65,24 +58,6 @@ func main() {
 			log.Fatalf("csv %s: %v", path, err)
 		}
 		fmt.Printf("  wrote %s\n\n", path)
-	}
-
-	writeJSON := func(emit func(w io.Writer) error) {
-		if *jsonOut == "" {
-			return
-		}
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			log.Fatalf("json: %v", err)
-		}
-		if err := emit(f); err != nil {
-			_ = f.Close()
-			log.Fatalf("json %s: %v", *jsonOut, err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("json %s: %v", *jsonOut, err)
-		}
-		fmt.Printf("  wrote %s\n\n", *jsonOut)
 	}
 
 	failed := false
@@ -157,77 +132,17 @@ func main() {
 			fmt.Println(res.Table())
 			check("fidelity", res.ShapeErrors())
 		},
-		"serve": func() {
-			res, err := bench.RunServe(bench.ServeConfig{ClusterSize: *hosts})
-			if err != nil {
-				log.Fatalf("serve: %v", err)
-			}
-			fmt.Println(res.Table())
-			check("serve", res.ShapeErrors())
-		},
-		"render": func() {
-			res, err := bench.RunRender(bench.RenderConfig{ClusterSize: *hosts})
-			if err != nil {
-				log.Fatalf("render: %v", err)
-			}
-			fmt.Println(res.Table())
-			check("render", res.ShapeErrors())
-			writeJSON(res.WriteJSON)
-		},
-		"chaos": func() {
-			res, err := bench.RunChaos(bench.ChaosConfig{Rounds: *rounds * 5, Seed: *seed})
-			if err != nil {
-				log.Fatalf("chaos: %v", err)
-			}
-			fmt.Println(res.Table())
-			check("chaos", res.ShapeErrors())
-		},
-		"checkpoint": func() {
-			res, err := bench.RunCheckpoint(bench.CheckpointConfig{Hosts: *hosts})
-			if err != nil {
-				log.Fatalf("checkpoint: %v", err)
-			}
-			fmt.Println(res.Table())
-			check("checkpoint", res.ShapeErrors())
-		},
-		"fabric": func() {
-			res, err := bench.RunFabric(bench.FabricConfig{})
-			if err != nil {
-				log.Fatalf("fabric: %v", err)
-			}
-			fmt.Println(res.Table())
-			check("fabric", res.ShapeErrors())
-			writeJSON(res.WriteJSON)
-		},
-		"stream": func() {
-			res, err := bench.RunStream(bench.StreamConfig{Rounds: *rounds})
-			if err != nil {
-				log.Fatalf("stream: %v", err)
-			}
-			fmt.Println(res.Table())
-			check("stream", res.ShapeErrors())
-			writeJSON(res.WriteJSON)
-		},
-		"history": func() {
-			res, err := bench.RunHistory(bench.HistoryConfig{Hosts: *hosts})
-			if err != nil {
-				log.Fatalf("history: %v", err)
-			}
-			fmt.Println(res.Table())
-			check("history", res.ShapeErrors())
-			writeJSON(res.WriteJSON)
-		},
 	}
 
 	switch *experiment {
 	case "all":
-		for _, name := range []string{"fig5", "fig6", "table1", "bandwidth", "fidelity", "serve", "render", "chaos", "checkpoint", "fabric", "stream", "history"} {
+		for _, name := range []string{"fig5", "fig6", "table1", "bandwidth", "fidelity"} {
 			run[name]()
 		}
 	default:
 		f, ok := run[*experiment]
 		if !ok {
-			log.Fatalf("unknown experiment %q (want fig5, fig6, table1, bandwidth, fidelity, serve, render, chaos, checkpoint, fabric, stream, history or all)", *experiment)
+			log.Fatalf("unknown experiment %q (want fig5, fig6, table1, bandwidth, fidelity or all)", *experiment)
 		}
 		f()
 	}

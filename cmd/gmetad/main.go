@@ -107,9 +107,6 @@ func main() {
 		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "how long to wait for a client's query line before disconnecting")
 		writeTimeout = flag.Duration("write-timeout", 30*time.Second, "how long one response write may take before disconnecting")
 		maxConns     = flag.Int("max-conns", 1024, "max concurrent serve connections; excess are rejected (negative = unlimited)")
-		noCache      = flag.Bool("no-cache", false, "disable the per-epoch rendered-response cache")
-		cacheEntries = flag.Int("cache-entries", 1024, "max distinct query responses cached per poll epoch")
-		cacheBytes   = flag.Int64("cache-bytes", gmetad.DefaultCacheMaxBytes, "max total bytes of cached response bodies per epoch (negative = unbounded)")
 		emitDTD      = flag.Bool("emit-dtd", false, "include the Ganglia DTD in every response, as classic gmetad did")
 
 		statsdAddr    = flag.String("statsd-listen", "", "UDP address of the statsd line-protocol receiver (empty to disable)")
@@ -243,13 +240,10 @@ func main() {
 		StreamIdleTimeout: *streamIdle,
 		WatchTimeout:      *watchTimeout,
 
-		QueryReadTimeout:     *queryTimeout,
-		WriteTimeout:         *writeTimeout,
-		MaxConns:             *maxConns,
-		DisableResponseCache: *noCache,
-		CacheMaxEntries:      *cacheEntries,
-		CacheMaxBytes:        *cacheBytes,
-		EmitDTD:              *emitDTD,
+		QueryReadTimeout: *queryTimeout,
+		WriteTimeout:     *writeTimeout,
+		MaxConns:         *maxConns,
+		EmitDTD:          *emitDTD,
 
 		Logger: log.Default(),
 	}

@@ -2,7 +2,8 @@
 // wide-area scalability experiment of figure 5, the cluster-size sweep
 // of figure 6, the web-frontend query timings of table 1, and the §2.1
 // claim that a 128-node cluster's monitoring traffic stays under
-// 56 kbit/s.
+// 56 kbit/s — plus the fidelity check that the pseudo-gmond emulators
+// those experiments poll cost gmetad what real gmond clusters do.
 //
 // All experiments run the six-gmetad, twelve-cluster monitoring tree of
 // figure 2, with clusters simulated by pseudo-gmond emulators — exactly

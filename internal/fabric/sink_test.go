@@ -106,6 +106,9 @@ func TestSinkManagerDropOldest(t *testing.T) {
 	if got := int64(rs.total()) + s.SinkDrops; got != s.Offered {
 		t.Errorf("delivered %d + dropped %d != offered %d", rs.total(), s.SinkDrops, s.Offered)
 	}
+	if rs.total() == 0 {
+		t.Error("the sink received nothing once it recovered: every sample was dropped")
+	}
 }
 
 func TestSinkManagerFailedFlushCountsDrops(t *testing.T) {

@@ -2,6 +2,14 @@ package gmetad
 
 import "sync"
 
+// The response cache's per-epoch bounds. Every daemon runs with these;
+// newResponseCache takes its bounds as parameters only so tests can
+// exercise eviction with small ones.
+const (
+	cacheMaxEntries       = 1024
+	cacheMaxBytes   int64 = 16 << 20
+)
+
 // responseCache holds the rendered XML body of each distinct query key
 // for the current poll epoch. One epoch is live at a time: storing a
 // body from a newer epoch drops everything older, so a re-poll empties
@@ -23,7 +31,7 @@ type responseCache struct {
 	fifo       []string
 	bytes      int64
 	maxEntries int
-	maxBytes   int64 // <= 0 means unbounded
+	maxBytes   int64
 }
 
 func newResponseCache(maxEntries int, maxBytes int64) *responseCache {
@@ -70,14 +78,14 @@ func (rc *responseCache) put(epoch uint64, key string, body []byte) (evicted int
 		// identical, keep them.
 		return 0
 	}
-	if rc.maxBytes > 0 && int64(len(body)) > rc.maxBytes {
+	if int64(len(body)) > rc.maxBytes {
 		// A single body larger than the whole budget would evict
 		// everything and still not fit; serve it uncached.
 		return 0
 	}
 	for len(rc.fifo) > 0 &&
 		(len(rc.entries) >= rc.maxEntries ||
-			(rc.maxBytes > 0 && rc.bytes+int64(len(body)) > rc.maxBytes)) {
+			rc.bytes+int64(len(body)) > rc.maxBytes) {
 		victim := rc.fifo[0]
 		rc.fifo = rc.fifo[1:]
 		evicted += int64(len(rc.entries[victim]))

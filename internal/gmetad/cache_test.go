@@ -3,6 +3,7 @@ package gmetad
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestCacheDuplicatePutKeepsExisting(t *testing.T) {
 }
 
 func TestCacheEntryBoundStillHolds(t *testing.T) {
-	rc := newResponseCache(3, 0) // unbounded bytes, 3 entries
+	rc := newResponseCache(3, cacheMaxBytes) // the byte bound never binds
 	for i := 0; i < 5; i++ {
 		rc.put(1, fmt.Sprintf("k%d", i), []byte("body"))
 	}
@@ -131,29 +132,22 @@ func TestCacheEvictedBytesAccounted(t *testing.T) {
 	r.cluster("meteor", "meteor:8649", 12, 1)
 	src := []DataSource{{Name: "meteor", Kind: SourceGmond, Addrs: []string{"meteor:8649"}}}
 
-	// Measure one metric-level body on a throwaway daemon, then bound
-	// the real cache so one such body fits but two cannot coexist.
-	probe := r.gmetad(Config{GridName: "SDSC", Sources: src}, "")
-	probe.PollOnce(r.clk.Now())
-	body, err := probe.renderBody(query.MustParse("/meteor/compute-meteor-0/load_one"))
+	// Measure one metric-level body, then bound the cache so one such
+	// body fits but two cannot coexist.
+	g := r.gmetad(Config{GridName: "SDSC", Sources: src}, "")
+	g.PollOnce(r.clk.Now())
+	body, err := g.renderBody(query.MustParse("/meteor/compute-meteor-0/load_one"))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	g := r.gmetad(Config{
-		GridName:        "SDSC",
-		CacheMaxBytes:   int64(len(body)) + int64(len(body))/2,
-		CacheMaxEntries: 64,
-		Sources:         src,
-	}, "sdsc:8652")
-	g.PollOnce(r.clk.Now())
+	g.cache = newResponseCache(64, int64(len(body))+int64(len(body))/2)
 
 	for _, q := range []string{
 		"/meteor/compute-meteor-0/load_one",
 		"/meteor/compute-meteor-1/load_one",
 		"/meteor/compute-meteor-2/load_one",
 	} {
-		if _, err := r.askRaw("sdsc:8652", q); err != nil {
+		if err := g.WriteAnswer(io.Discard, query.MustParse(q)); err != nil {
 			t.Fatal(err)
 		}
 	}

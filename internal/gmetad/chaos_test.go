@@ -3,11 +3,13 @@ package gmetad
 import (
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ganglia/internal/pseudo"
 	"ganglia/internal/query"
 	"ganglia/internal/transport"
 )
@@ -286,6 +288,138 @@ func TestOversizeReportRejected(t *testing.T) {
 	}
 	if got := g.Accounting().Snapshot().OversizeReports; got != 1 {
 		t.Errorf("oversize reports = %d, want 1", got)
+	}
+}
+
+// TestMixedSourceChaos polls six sources at once through a seeded
+// fault fabric that mixes the wide area's failure modes, and checks that
+// each degrades and recovers as designed: chaos next door costs the
+// healthy source nothing, every source with a live replica ends on it,
+// a source with no live replica is missed every round but stays polled,
+// an oversized report is rejected, and teardown leaves no goroutine
+// behind.
+func TestMixedSourceChaos(t *testing.T) {
+	base := runtime.NumGoroutine()
+	r, fnet := faultRig(t)
+	// Replicas of one source share a name and seed, so any of them
+	// yields the same report.
+	var emus []*pseudo.Gmond
+	for _, c := range []struct {
+		name, addr string
+		hosts      int
+		seed       int64
+	}{
+		{"steady", "steady:8649", 8, 1},
+		{"triad", "triad-r1:8649", 8, 2},
+		{"triad", "triad-r2:8649", 8, 2},
+		{"triad", "triad-r3:8649", 8, 2},
+		{"stall", "stall-r2:8649", 8, 3},
+		{"garbled", "garbled-r1:8649", 8, 4},
+		{"garbled", "garbled-r2:8649", 8, 4},
+		{"bloat", "bloat:8649", 300, 5},
+	} {
+		emus = append(emus, r.cluster(c.name, c.addr, c.hosts, c.seed))
+	}
+	// The triad's first replica is up for the first minute of every
+	// two and its second truncates every report; only the third is
+	// trustworthy. stall-r1 and both dead replicas have no listener
+	// behind their faults.
+	fnet.SetPlan("triad-r1:8649", transport.FaultPlan{
+		Mode: transport.FaultRefuse, FlapPeriod: 2 * time.Minute, FlapUp: time.Minute,
+	})
+	fnet.SetPlan("triad-r2:8649", transport.FaultPlan{Mode: transport.FaultTruncate, TruncateAfter: 512})
+	fnet.SetPlan("stall-r1:8649", transport.FaultPlan{Mode: transport.FaultHang})
+	fnet.SetPlan("garbled-r1:8649", transport.FaultPlan{Mode: transport.FaultGarble, GarbleEvery: 16})
+	fnet.SetPlan("dead-r1:8649", transport.FaultPlan{Mode: transport.FaultRefuse})
+	fnet.SetPlan("dead-r2:8649", transport.FaultPlan{Mode: transport.FaultRefuse})
+
+	g := r.gmetad(Config{
+		GridName:       "chaos",
+		Network:        fnet,
+		ReadTimeout:    150 * time.Millisecond, // hangs burn wall time
+		MaxReportBytes: 256 << 10,              // bloat's report exceeds it, the rest stay well under
+		HealthSeed:     1,
+		Sources: []DataSource{
+			{Name: "steady", Kind: SourceGmond, Addrs: []string{"steady:8649"}},
+			{Name: "triad", Kind: SourceGmond, Addrs: []string{"triad-r1:8649", "triad-r2:8649", "triad-r3:8649"}},
+			{Name: "stall", Kind: SourceGmond, Addrs: []string{"stall-r1:8649", "stall-r2:8649"}},
+			{Name: "garbled", Kind: SourceGmond, Addrs: []string{"garbled-r1:8649", "garbled-r2:8649"}},
+			{Name: "dead", Kind: SourceGmond, Addrs: []string{"dead-r1:8649", "dead-r2:8649"}},
+			{Name: "bloat", Kind: SourceGmond, Addrs: []string{"bloat:8649"}},
+		},
+	}, "")
+
+	// missed counts failed rounds per source; down is the current
+	// failed streak, and longest the longest streak that ended in a
+	// recovery.
+	const rounds = 40
+	missed, down, longest := map[string]int{}, map[string]int{}, map[string]int{}
+	for i := 0; i < rounds; i++ {
+		g.PollOnce(r.clk.Advance(15 * time.Second))
+		for _, st := range g.Status() {
+			if st.Failed {
+				missed[st.Name]++
+				down[st.Name]++
+				continue
+			}
+			longest[st.Name] = max(longest[st.Name], down[st.Name])
+			down[st.Name] = 0
+		}
+	}
+	final := map[string]SourceStatus{}
+	for _, st := range g.Status() {
+		final[st.Name] = st
+	}
+
+	if st := final["steady"]; missed["steady"] != 0 || st.Failed {
+		t.Errorf("healthy source missed %d rounds under sibling chaos", missed["steady"])
+	}
+	if st := final["triad"]; st.Failed || st.ActiveAddr != "triad-r3:8649" {
+		t.Errorf("3-replica source ended active=%q failed=%v, want the healthy triad-r3:8649", st.ActiveAddr, st.Failed)
+	}
+	if n := longest["triad"]; n > 4 {
+		t.Errorf("3-replica source took %d rounds to converge, want <= 4", n)
+	}
+	for _, name := range []string{"stall", "garbled"} {
+		if st, want := final[name], name+"-r2:8649"; st.Failed || st.ActiveAddr != want {
+			t.Errorf("%s ended active=%q failed=%v, want recovery via %s", name, st.ActiveAddr, st.Failed, want)
+		}
+	}
+	if st := final["dead"]; !st.Failed || missed["dead"] != rounds {
+		t.Errorf("dead source missed %d of %d rounds, failed=%v", missed["dead"], rounds, st.Failed)
+	}
+	if !final["bloat"].Failed {
+		t.Error("oversized source was accepted")
+	}
+	s := g.Accounting().Snapshot()
+	for _, c := range []struct {
+		name string
+		n    int64
+	}{
+		{"oversize reports", s.OversizeReports},
+		{"breaker trips", s.BreakerTrips},
+		{"breaker-stretched rounds", s.BreakerSkips},
+		{"failovers", s.Failovers},
+		{"backoff-suppressed dials", s.Backoffs},
+	} {
+		if c.n < 1 {
+			t.Errorf("%s = %d, want >= 1", c.name, c.n)
+		}
+	}
+	if s.PollPanics != 0 {
+		t.Errorf("poll workers panicked %d times", s.PollPanics)
+	}
+
+	g.Close()
+	for _, e := range emus {
+		e.Close()
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("goroutine leak after teardown: %d running, started with %d", n, base)
 	}
 }
 

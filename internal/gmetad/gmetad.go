@@ -53,10 +53,6 @@ const DefaultMaxReportBytes = 64 << 20
 // source dead for ~2.5 minutes starts being polled less often.
 const DefaultBreakerThreshold = 10
 
-// DefaultCacheMaxBytes is the default byte bound on the response
-// cache's rendered bodies.
-const DefaultCacheMaxBytes = 16 << 20
-
 // Mode selects the monitoring-tree design under test.
 type Mode int
 
@@ -258,23 +254,6 @@ type Config struct {
 	// the cap.
 	MaxConns int
 
-	// DisableResponseCache turns off the rendered-response cache and
-	// restores per-connection rendering, for measurement and
-	// comparison. The cache serves repeat queries of one poll epoch
-	// from a single rendering; it is invalidated whenever a source
-	// publishes a new snapshot or the source set changes.
-	DisableResponseCache bool
-
-	// CacheMaxEntries bounds how many distinct query responses are
-	// retained per epoch; defaults to 1024.
-	CacheMaxEntries int
-
-	// CacheMaxBytes bounds the total rendered-body bytes the response
-	// cache retains per epoch; past it the oldest entries are evicted
-	// FIFO (counted as CacheEvictedBytes). Defaults to
-	// DefaultCacheMaxBytes; negative disables the byte bound.
-	CacheMaxBytes int64
-
 	// EmitDTD embeds the Ganglia DTD in every query response, matching
 	// the real daemons' self-describing output. Off by default: the
 	// declaration adds ~2 KiB to every answer.
@@ -432,12 +411,6 @@ func New(cfg Config) (*Gmetad, error) {
 	if cfg.MaxConns == 0 {
 		cfg.MaxConns = 1024
 	}
-	if cfg.CacheMaxEntries <= 0 {
-		cfg.CacheMaxEntries = 1024
-	}
-	if cfg.CacheMaxBytes == 0 {
-		cfg.CacheMaxBytes = DefaultCacheMaxBytes
-	}
 	if cfg.CheckpointGenerations <= 0 {
 		cfg.CheckpointGenerations = DefaultCheckpointGenerations
 	}
@@ -448,12 +421,10 @@ func New(cfg Config) (*Gmetad, error) {
 		cfg:       cfg,
 		slots:     make(map[string]*sourceSlot, len(cfg.Sources)),
 		hdrPrefix: buildHeaderPrefix(cfg.GridName, cfg.Authority, cfg.EmitDTD),
+		cache:     newResponseCache(cacheMaxEntries, cacheMaxBytes),
 	}
 	if cfg.Mode == NLevel {
 		g.tracker = summary.NewTracker()
-	}
-	if !cfg.DisableResponseCache {
-		g.cache = newResponseCache(cfg.CacheMaxEntries, cfg.CacheMaxBytes)
 	}
 	if cfg.MaxConns > 0 {
 		g.sem = make(chan struct{}, cfg.MaxConns)

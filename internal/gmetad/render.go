@@ -496,37 +496,28 @@ func (g *Gmetad) renderHost(q *query.Query) ([]byte, error) {
 	return buf.Bytes(), w.Flush()
 }
 
-// writeAnswer resolves q through the response cache (when enabled),
-// rendering on a miss, and writes header + body + footer to w. A
-// non-nil error means nothing was written and the caller should emit
-// an error comment instead; write failures past the first byte are the
-// connection's problem, not the query's.
+// writeAnswer resolves q through the response cache, rendering on a
+// miss, and writes header + body + footer to w. A non-nil error means
+// nothing was written and the caller should emit an error comment
+// instead; write failures past the first byte are the connection's
+// problem, not the query's.
 func (g *Gmetad) writeAnswer(w io.Writer, q *query.Query) error {
-	var body []byte
-	if g.cache != nil {
-		// The epoch is read before the snapshots: a body can only ever
-		// be stamped with an epoch at or below its data's freshness — a
-		// racing re-poll invalidates it, never the reverse.
-		epoch := g.epoch.Load()
-		key := q.Key()
-		if b, ok := g.cache.get(epoch, key); ok {
-			g.acct.cacheHits.Add(1)
-			body = b
-		} else {
-			g.acct.cacheMisses.Add(1)
-			var err error
-			body, err = g.renderBody(q)
-			if err != nil {
-				return err
-			}
-			g.acct.cacheEvictedBytes.Add(g.cache.put(epoch, key, body))
-		}
+	// The epoch is read before the snapshots: a body can only ever be
+	// stamped with an epoch at or below its data's freshness — a racing
+	// re-poll invalidates it, never the reverse.
+	epoch := g.epoch.Load()
+	key := q.Key()
+	body, ok := g.cache.get(epoch, key)
+	if ok {
+		g.acct.cacheHits.Add(1)
 	} else {
+		g.acct.cacheMisses.Add(1)
 		var err error
 		body, err = g.renderBody(q)
 		if err != nil {
 			return err
 		}
+		g.acct.cacheEvictedBytes.Add(g.cache.put(epoch, key, body))
 	}
 
 	hp := headerPool.Get().(*[]byte)

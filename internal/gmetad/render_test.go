@@ -210,10 +210,12 @@ func TestRenderUnbuiltFragments(t *testing.T) {
 // snapshot's fragment is rendered once, by its first reader, and every
 // later reader of that snapshot shares it. On an N-level tree nothing
 // reads a fragment until a viewer asks for one; in 1-level mode every
-// parent poll reads each child slot's fragment.
+// parent poll reads each child slot's fragment. With cache-off every
+// answer misses the response cache: the epoch is bumped before it, the
+// same invalidation a poll performs.
 func TestPollRendersOnlyOnRead(t *testing.T) {
 	renders := func(g *Gmetad) int64 { return g.Accounting().Snapshot().FragmentRenders }
-	build := func(t *testing.T, mode Mode, cacheOff bool) (*rig, *Gmetad, *Gmetad) {
+	build := func(t *testing.T, mode Mode) (*rig, *Gmetad, *Gmetad) {
 		r := newRig(t)
 		r.cluster("meteor", "meteor:8649", 6, 1)
 		r.cluster("nashi", "nashi:8649", 4, 2)
@@ -225,11 +227,10 @@ func TestPollRendersOnlyOnRead(t *testing.T) {
 			Sources:   []DataSource{{Name: "presto", Kind: SourceGmond, Addrs: []string{"presto:8649"}}},
 		}, "sdsc:8652")
 		g := r.gmetad(Config{
-			GridName:             "root",
-			Authority:            "http://root/",
-			Mode:                 mode,
-			BreakerThreshold:     2,
-			DisableResponseCache: cacheOff,
+			GridName:         "root",
+			Authority:        "http://root/",
+			Mode:             mode,
+			BreakerThreshold: 2,
 			Sources: []DataSource{
 				{Name: "meteor", Kind: SourceGmond, Addrs: []string{"meteor:8649"}},
 				{Name: "nashi", Kind: SourceGmond, Addrs: []string{"nashi:8649"}},
@@ -247,7 +248,12 @@ func TestPollRendersOnlyOnRead(t *testing.T) {
 
 	for _, cacheOff := range []bool{false, true} {
 		t.Run(fmt.Sprintf("N-level/cache-off=%v", cacheOff), func(t *testing.T) {
-			r, child, g := build(t, NLevel, cacheOff)
+			r, child, g := build(t, NLevel)
+			miss := func() {
+				if cacheOff {
+					g.bumpEpoch()
+				}
+			}
 			round(r, child, g)
 			// nashi fails twice, opening its breaker; the rounds after
 			// that are deferred. Both kinds re-age its snapshot.
@@ -267,17 +273,20 @@ func TestPollRendersOnlyOnRead(t *testing.T) {
 
 			// The first depth-0 answer reads, and so renders, each slot.
 			var buf bytes.Buffer
+			miss()
 			if err := g.WriteAnswer(&buf, query.MustParse("/")); err != nil {
 				t.Fatal(err)
 			}
 			if n := renders(g); n != 3 {
 				t.Fatalf("first depth-0 answer rendered %d fragments, want one per slot (3)", n)
 			}
-			// Every later reader of the same epoch shares those builds.
+			// Every later reader of the same snapshots shares those builds.
+			miss()
 			if _, err := r.askRaw("root:8652", "/"); err != nil {
 				t.Fatal(err)
 			}
 			for _, q := range []string{"/", "/meteor", "/sdsc"} {
+				miss()
 				if err := g.WriteAnswer(io.Discard, query.MustParse(q)); err != nil {
 					t.Fatal(err)
 				}
@@ -286,7 +295,7 @@ func TestPollRendersOnlyOnRead(t *testing.T) {
 				t.Fatal(err)
 			}
 			if n := renders(g); n != 3 {
-				t.Errorf("readers of one epoch rendered %d fragments, want the first reader's 3", n)
+				t.Errorf("readers of one snapshot set rendered %d fragments, want the first reader's 3", n)
 			}
 			if n := renders(child); n != 0 {
 				t.Errorf("N-level summary polls rendered %d child fragments", n)
@@ -295,7 +304,7 @@ func TestPollRendersOnlyOnRead(t *testing.T) {
 	}
 
 	t.Run("1-level", func(t *testing.T) {
-		r, child, g := build(t, OneLevel, false)
+		r, child, g := build(t, OneLevel)
 		const rounds = 4
 		for i := 0; i < rounds; i++ {
 			round(r, child, g)
@@ -442,23 +451,30 @@ func TestCacheHitAllocations(t *testing.T) {
 
 // TestCacheMissAllocationsScaleFree: a cache-miss depth-0 render is a
 // fragment splice, so its allocation count must not grow with the host
-// count behind the fragments.
+// count behind the fragments. Each answer is forced to miss by bumping
+// the epoch first, the same invalidation a poll performs, and every
+// such answer is accounted as a miss.
 func TestCacheMissAllocationsScaleFree(t *testing.T) {
 	missAllocs := func(hosts int) float64 {
 		r := newRig(t)
 		r.cluster("meteor", "meteor:8649", hosts, 1)
 		g := r.gmetad(Config{
-			GridName:             "SDSC",
-			DisableResponseCache: true, // every render is a miss
-			Sources:              []DataSource{{Name: "meteor", Kind: SourceGmond, Addrs: []string{"meteor:8649"}}},
+			GridName: "SDSC",
+			Sources:  []DataSource{{Name: "meteor", Kind: SourceGmond, Addrs: []string{"meteor:8649"}}},
 		}, "")
 		g.PollOnce(r.clk.Now())
 		q := query.MustParse("/")
-		return testing.AllocsPerRun(100, func() {
+		allocs := testing.AllocsPerRun(100, func() {
+			g.bumpEpoch()
 			if err := g.writeAnswer(io.Discard, q); err != nil {
 				t.Fatal(err)
 			}
 		})
+		// AllocsPerRun makes one warm-up call before the 100 it measures.
+		if s := g.Accounting().Snapshot(); s.CacheHits != 0 || s.CacheMisses != 101 {
+			t.Errorf("%d hosts: %d hits, %d misses; want every answer a miss", hosts, s.CacheHits, s.CacheMisses)
+		}
+		return allocs
 	}
 	small, large := missAllocs(5), missAllocs(200)
 	// The old DOM pipeline allocated 2 copies + 1 METRIC rendering per
@@ -468,6 +484,33 @@ func TestCacheMissAllocationsScaleFree(t *testing.T) {
 	if large > small+8 {
 		t.Errorf("cache-miss allocations scale with hosts: %d hosts -> %.1f, %d hosts -> %.1f",
 			5, small, 200, large)
+	}
+}
+
+// TestSpliceAllocatesUnderHalfOfDOM: a cache-miss depth-0 answer
+// splices pre-rendered fragments under a pooled header, so it allocates
+// at most half of what the retired DOM pipeline — deep-copy the tree
+// into a report, then serialize it — allocates for the same snapshots.
+func TestSpliceAllocatesUnderHalfOfDOM(t *testing.T) {
+	_, g, _ := buildRenderRig(t, NLevel, false)
+	q := query.MustParse("/")
+	splice := testing.AllocsPerRun(50, func() {
+		g.bumpEpoch()
+		if err := g.writeAnswer(io.Discard, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	dom := testing.AllocsPerRun(50, func() {
+		rep, err := g.ReferenceReport(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gxml.RenderReport(rep); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if splice > dom/2 {
+		t.Errorf("cache-miss splice allocates %.0f times per answer, DOM %.0f; want at most half", splice, dom)
 	}
 }
 

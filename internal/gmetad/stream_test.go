@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,6 +34,35 @@ type streamRig struct {
 	sub    *Gmetad // subscribing parent, dialing through fnet
 	oracle *Gmetad // polling parent, dialing the clean fabric
 	churns []*pseudo.ChurnGmond
+	// subIn and oracleIn count the bytes each parent read off the
+	// in-memory network.
+	subIn, oracleIn *countingNetwork
+}
+
+// countingNetwork counts every byte read from the connections it
+// dials: what a parent actually received on the wire.
+type countingNetwork struct {
+	transport.Network
+	n atomic.Int64
+}
+
+func (c *countingNetwork) Dial(addr string) (net.Conn, error) {
+	conn, err := c.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: conn, n: &c.n}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	k, err := c.Conn.Read(p)
+	c.n.Add(int64(k))
+	return k, err
 }
 
 // newStreamRig stands up the oracle topology: two controlled-churn
@@ -82,8 +113,10 @@ func newStreamRig(t *testing.T, mode Mode, churn float64) *streamRig {
 			StreamIdleTimeout: 3 * time.Second,
 		}, "")
 	}
-	sr.sub = parent(sr.fnet, true)
-	sr.oracle = parent(nil, false)
+	sr.subIn = &countingNetwork{Network: sr.fnet}
+	sr.oracleIn = &countingNetwork{Network: r.net}
+	sr.sub = parent(sr.subIn, true)
+	sr.oracle = parent(sr.oracleIn, false)
 	return sr
 }
 
@@ -220,6 +253,44 @@ func TestStreamSubscriptionConverges(t *testing.T) {
 	}
 	if after.StreamResyncs != 1 {
 		t.Errorf("resyncs = %d, want exactly the initial FULL sync", after.StreamResyncs)
+	}
+}
+
+// TestStreamDeltaBytesUnderHalfOfPoll pins what a subscription link
+// saves: at 1 % and 10 % churn the subscribed parent reads less than
+// half the bytes the polling parent downloads over the same rounds,
+// while applying frames the whole window and never gapping or falling
+// back to a poll.
+func TestStreamDeltaBytesUnderHalfOfPoll(t *testing.T) {
+	for _, churn := range []float64{0.01, 0.10} {
+		t.Run(fmt.Sprintf("churn=%.2f", churn), func(t *testing.T) {
+			sr := newStreamRig(t, OneLevel, churn)
+			sr.establish()
+			before := sr.sub.Accounting().Snapshot()
+			sub0, poll0 := sr.subIn.n.Load(), sr.oracleIn.n.Load()
+			const rounds = 20
+			for i := 0; i < rounds; i++ {
+				if !sr.round() {
+					t.Fatalf("round %d: link fell off with no faults injected", i)
+				}
+			}
+			d := sr.sub.Accounting().Snapshot().Sub(before)
+			sub, poll := sr.subIn.n.Load()-sub0, sr.oracleIn.n.Load()-poll0
+			if d.StreamFrames == 0 {
+				t.Error("no delta frames applied: the link never streamed")
+			}
+			if d.StreamGaps != 0 || d.StreamFallbacks != 0 {
+				t.Errorf("link degraded on a clean fabric: %d gaps, %d fallbacks", d.StreamGaps, d.StreamFallbacks)
+			}
+			if poll == 0 {
+				t.Fatal("the polling parent read nothing: the window measured nothing")
+			}
+			if 2*sub >= poll {
+				t.Errorf("delta link read %d B per round, %.1f %% of poll's %d B; want < 50 %%",
+					sub/rounds, 100*float64(sub)/float64(poll), poll/rounds)
+			}
+			t.Logf("delta %d B/round = %.1f %% of poll %d B/round", sub/rounds, 100*float64(sub)/float64(poll), poll/rounds)
+		})
 	}
 }
 

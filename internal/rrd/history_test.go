@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -298,6 +299,35 @@ func TestPoolInternedNames(t *testing.T) {
 	// 100 series share 1 cluster + 10 host + 10 metric component names.
 	if got := p.InternedNames(); got != 1+hosts+metrics {
 		t.Errorf("InternedNames = %d, want %d", got, 1+hosts+metrics)
+	}
+}
+
+// TestDefaultPoolIsCompact pins the store's footprint under the
+// daemon's defaults: the pool is lock-sharded, component names are
+// interned once rather than per series, and a durable snapshot costs
+// at most 64 kB per series.
+func TestDefaultPoolIsCompact(t *testing.T) {
+	p := NewPool(DefaultSpec())
+	if p.Shards() <= 1 {
+		t.Errorf("default pool has %d shard(s), want more than one", p.Shards())
+	}
+	for h := 0; h < 16; h++ {
+		for m := 0; m < 12; m++ {
+			host, metric := "host"+strconv.Itoa(h), "metric"+strconv.Itoa(m)
+			if err := p.UpdateSeries("cl", host, metric, tAligned, float64(h+m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := p.InternedNames(); n >= p.Len() {
+		t.Errorf("%d interned names for %d series: interning saved nothing", n, p.Len())
+	}
+	var buf bytes.Buffer
+	if err := p.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if per := buf.Len() / p.Len(); per > 64_000 {
+		t.Errorf("snapshot costs %d B per series, want <= 64 kB", per)
 	}
 }
 

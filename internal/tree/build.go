@@ -27,10 +27,6 @@ type BuildConfig struct {
 	SeedBase int64
 	// Network, if nil, a fresh in-memory network is created.
 	Network *transport.InMemNetwork
-	// DisableResponseCache turns off every gmetad's rendered-response
-	// cache, so experiments can compare the cached and uncached serve
-	// paths on the same tree.
-	DisableResponseCache bool
 }
 
 // Instance is a live in-process monitoring tree.
@@ -103,15 +99,14 @@ func Build(topo *Topology, cfg BuildConfig) (*Instance, error) {
 			})
 		}
 		g, err := gmetad.New(gmetad.Config{
-			GridName:             node.Name,
-			Authority:            Authority(node.Name),
-			Network:              net,
-			Clock:                cfg.Clock,
-			Sources:              sources,
-			Mode:                 cfg.Mode,
-			Archive:              cfg.Archive,
-			ArchiveSpec:          cfg.ArchiveSpec,
-			DisableResponseCache: cfg.DisableResponseCache,
+			GridName:    node.Name,
+			Authority:   Authority(node.Name),
+			Network:     net,
+			Clock:       cfg.Clock,
+			Sources:     sources,
+			Mode:        cfg.Mode,
+			Archive:     cfg.Archive,
+			ArchiveSpec: cfg.ArchiveSpec,
 		})
 		if err != nil {
 			inst.Close()
