@@ -30,6 +30,14 @@
 //
 //	gmetad ... -carbon-target carbon.example:2003 [-carbon-prefix ganglia] \
 //	    -prom-listen :9090
+//
+// The source set is read once, at start; changing it means restarting
+// with new -source flags, as a stock gmetad re-reads gmetad.conf. Flags
+// name only deployment settings (addresses, paths, names), what stock
+// gmetad.conf also sets, and the documented non-default regimes
+// (-stream-heartbeat, -stream-idle-timeout, -emit-dtd). Timeouts,
+// backoff and breaker shapes, connection and download caps, checkpoint
+// cadence and retention are fixed at their defaults.
 package main
 
 import (
@@ -47,6 +55,15 @@ import (
 	"ganglia/internal/fabric"
 	"ganglia/internal/gmetad"
 	"ganglia/internal/transport"
+)
+
+const (
+	// checkpointEvery is the archive checkpoint cadence when
+	// -archive-path is set.
+	checkpointEvery = 5 * time.Minute
+	// drainTimeout bounds how long SIGTERM waits for in-flight
+	// responses (and queued sink samples) before abandoning them.
+	drainTimeout = 10 * time.Second
 )
 
 // sourceFlags accumulates repeated -source flags.
@@ -86,28 +103,12 @@ func main() {
 		xmlAddr     = flag.String("xml", ":8651", "TCP address of the full-dump port (empty to disable)")
 		queryAddr   = flag.String("query", ":8652", "TCP address of the interactive query port (empty to disable)")
 		poll        = flag.Duration("poll", gmetad.DefaultPollInterval, "source polling interval")
-		readTimeout = flag.Duration("read-timeout", 30*time.Second, "per-source download timeout")
-		maxReport   = flag.Int64("max-report-bytes", gmetad.DefaultMaxReportBytes, "cap on one source download; bigger reports fail the poll (negative = unlimited)")
-		backoffBase = flag.Duration("addr-backoff", 15*time.Second, "initial per-address retry backoff, doubled per consecutive failure (negative = disabled)")
-		backoffMax  = flag.Duration("addr-backoff-max", 2*time.Minute, "cap on per-address retry backoff")
-		breaker     = flag.Int("breaker-threshold", gmetad.DefaultBreakerThreshold, "consecutive failed polls before a source's cadence is stretched (negative = disabled)")
-		breakerMax  = flag.Duration("breaker-max-stretch", 0, "cap on the stretched poll cadence of a dead source (0 = 4x -poll)")
-		noHealth    = flag.Bool("no-health-xml", false, "omit per-source SOURCE_HEALTH elements from depth-0 responses")
 		archive     = flag.Bool("archive", true, "keep round-robin metric histories")
 		archivePath = flag.String("archive-path", "", "base path for archive snapshots: generations are written as <path>.gen-<seq>, the newest valid one is restored on start, corrupt ones are quarantined as <path>.corrupt-<seq>")
-		archShards  = flag.Int("archive-shards", 0, "lock shards partitioning the archive pool; history queries on one shard never wait on updates to another (0 = default)")
-		saveEvery   = flag.Duration("save-every", 5*time.Minute, "archive checkpoint interval (with -archive-path)")
-		generations = flag.Int("generations", gmetad.DefaultCheckpointGenerations, "archive snapshot generations to retain")
-		drainWait   = flag.Duration("drain-timeout", 10*time.Second, "on SIGTERM, how long to wait for in-flight responses before abandoning them")
 
 		streamHeartbeat = flag.Duration("stream-heartbeat", 0, "keepalive cadence on served subscription streams (0 = default)")
 		streamIdle      = flag.Duration("stream-idle-timeout", 0, "silence on a subscribed link before it is declared gapped and torn down (0 = default)")
-		watchTimeout    = flag.Duration("watch-timeout", 0, "how long a ?filter=watch long-poll waits for a change before answering anyway (0 = default)")
-
-		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "how long to wait for a client's query line before disconnecting")
-		writeTimeout = flag.Duration("write-timeout", 30*time.Second, "how long one response write may take before disconnecting")
-		maxConns     = flag.Int("max-conns", 1024, "max concurrent serve connections; excess are rejected (negative = unlimited)")
-		emitDTD      = flag.Bool("emit-dtd", false, "include the Ganglia DTD in every response, as classic gmetad did")
+		emitDTD         = flag.Bool("emit-dtd", false, "include the Ganglia DTD in every response, as classic gmetad did")
 
 		statsdAddr    = flag.String("statsd-listen", "", "UDP address of the statsd line-protocol receiver (empty to disable)")
 		pushAddr      = flag.String("push-listen", "", "TCP address of the HTTP/JSON push receiver (empty to disable)")
@@ -215,35 +216,20 @@ func main() {
 	}
 
 	cfg := gmetad.Config{
-		GridName:      *grid,
-		Authority:     *authority,
-		Network:       tcp,
-		Sources:       sources,
-		Mode:          mode,
-		PollInterval:  *poll,
-		ReadTimeout:   *readTimeout,
-		Archive:       *archive,
-		ArchivePath:   *archivePath,
-		ArchiveShards: *archShards,
+		GridName:     *grid,
+		Authority:    *authority,
+		Network:      tcp,
+		Sources:      sources,
+		Mode:         mode,
+		PollInterval: *poll,
+		Archive:      *archive,
+		ArchivePath:  *archivePath,
 
-		CheckpointInterval:    *saveEvery,
-		CheckpointGenerations: *generations,
-
-		MaxReportBytes:    *maxReport,
-		AddrBackoffBase:   *backoffBase,
-		AddrBackoffMax:    *backoffMax,
-		BreakerThreshold:  *breaker,
-		BreakerMaxStretch: *breakerMax,
-		DisableHealthXML:  *noHealth,
+		CheckpointInterval: checkpointEvery,
 
 		StreamHeartbeat:   *streamHeartbeat,
 		StreamIdleTimeout: *streamIdle,
-		WatchTimeout:      *watchTimeout,
-
-		QueryReadTimeout: *queryTimeout,
-		WriteTimeout:     *writeTimeout,
-		MaxConns:         *maxConns,
-		EmitDTD:          *emitDTD,
+		EmitDTD:           *emitDTD,
 
 		Logger: log.Default(),
 	}
@@ -353,11 +339,11 @@ func main() {
 			// save is lost.
 			close(done)
 			fmt.Println("gmetad: draining")
-			if !g.Drain(*drainWait) {
-				fmt.Printf("gmetad: drain timed out after %v; abandoning stragglers\n", *drainWait)
+			if !g.Drain(drainTimeout) {
+				fmt.Printf("gmetad: drain timed out after %v; abandoning stragglers\n", drainTimeout)
 			}
-			if sinks != nil && !sinks.Drain(*drainWait) {
-				fmt.Printf("gmetad: sink drain timed out after %v; dropping queued samples\n", *drainWait)
+			if sinks != nil && !sinks.Drain(drainTimeout) {
+				fmt.Printf("gmetad: sink drain timed out after %v; dropping queued samples\n", drainTimeout)
 			}
 			if *archive && *archivePath != "" {
 				if err := g.Checkpoint(); err != nil {

@@ -202,21 +202,37 @@ func TestCSVEmitters(t *testing.T) {
 }
 
 func TestFidelityHelpers(t *testing.T) {
-	r := &FidelityResult{PseudoWork: 12 * time.Millisecond, RealWork: 10 * time.Millisecond,
-		PseudoBytes: 100, RealBytes: 100}
-	r.Config.defaults()
-	if d := r.RelDiff(); d < 0.19 || d > 0.21 {
-		t.Errorf("RelDiff = %v", d)
-	}
+	// 10 hosts of 30 metrics at ~130 B a metric: half a metric per host
+	// is ~65 B a host, 650 B a round.
+	side := FidelitySide{Work: 10 * time.Millisecond, Bytes: 40_000, HostsParsed: 10, Metrics: 30, Series: 310}
+	r := &FidelityResult{Config: FidelityConfig{Hosts: 10, Rounds: 1}, Pseudo: side, Real: side}
+	r.Pseudo.Bytes += 160 // value text differs
+	r.Pseudo.Work *= 3    // wall clock is printed, never gated
 	if errs := r.ShapeErrors(); len(errs) != 0 {
-		t.Errorf("within tolerance but errors: %v", errs)
+		t.Errorf("same input shape but errors: %v", errs)
 	}
-	bad := &FidelityResult{PseudoWork: 30 * time.Millisecond, RealWork: 10 * time.Millisecond,
-		PseudoBytes: 500, RealBytes: 100}
-	bad.Config.defaults()
-	if errs := bad.ShapeErrors(); len(errs) != 2 {
-		t.Errorf("out-of-tolerance errors = %v", errs)
+
+	// A backend that drops one metric per host: fewer metrics, fewer
+	// series, and a METRIC element per host fewer bytes.
+	dropped := *r
+	dropped.Pseudo.Metrics, dropped.Pseudo.Series, dropped.Pseudo.Bytes = 29, 300, 40_000-10*130
+	if errs := dropped.ShapeErrors(); len(errs) != 3 {
+		t.Errorf("dropped metric: errors = %v, want metrics, series and bytes", errs)
 	}
+	// A backend that reports a host twice: one parse too many and a
+	// host's worth of bytes.
+	twice := *r
+	twice.Pseudo.HostsParsed, twice.Pseudo.Bytes = 11, 44_000
+	if errs := twice.ShapeErrors(); len(errs) != 2 {
+		t.Errorf("repeated host: errors = %v, want hosts and bytes", errs)
+	}
+	// A backend whose hosts are unchanged round to round.
+	frozen := *r
+	frozen.Pseudo.HostsParsed, frozen.Pseudo.HostsReused = 0, 10
+	if errs := frozen.ShapeErrors(); len(errs) != 2 {
+		t.Errorf("reused hosts: errors = %v, want parsed and reused", errs)
+	}
+
 	empty := &FidelityResult{}
 	if errs := empty.ShapeErrors(); len(errs) != 1 {
 		t.Errorf("empty result errors = %v", errs)

@@ -25,8 +25,8 @@ const (
 // folds pending statsd/push state into announcements.
 const DefaultFlushEvery = 10 * time.Second
 
-// DefaultMetricTMAX matches gmond.SetMetric's gmetric default: a
-// fabric metric silent for 60 s starts reading as stale.
+// DefaultMetricTMAX matches cmd/gmetric's default -tmax: a fabric
+// metric silent for 60 s starts reading as stale.
 const DefaultMetricTMAX = 60
 
 // maxDatagram bounds one received statsd packet, mirroring the UDP bus.

@@ -338,7 +338,6 @@ func TestMixedSourceChaos(t *testing.T) {
 		Network:        fnet,
 		ReadTimeout:    150 * time.Millisecond, // hangs burn wall time
 		MaxReportBytes: 256 << 10,              // bloat's report exceeds it, the rest stay well under
-		HealthSeed:     1,
 		Sources: []DataSource{
 			{Name: "steady", Kind: SourceGmond, Addrs: []string{"steady:8649"}},
 			{Name: "triad", Kind: SourceGmond, Addrs: []string{"triad-r1:8649", "triad-r2:8649", "triad-r3:8649"}},
@@ -505,23 +504,5 @@ func TestHealthXMLTracksTransitions(t *testing.T) {
 	g.PollOnce(r.clk.Now())
 	if h := health(); h.Status != "up" || h.DownSince != 0 {
 		t.Fatalf("recovered source health: %+v", h)
-	}
-}
-
-func TestHealthXMLDisabled(t *testing.T) {
-	r := newRig(t)
-	r.cluster("meteor", "meteor:8649", 3, 1)
-	g := r.gmetad(Config{
-		GridName:         "SDSC",
-		DisableHealthXML: true,
-		Sources:          []DataSource{{Name: "meteor", Kind: SourceGmond, Addrs: []string{"meteor:8649"}}},
-	}, "sdsc:8652")
-	g.PollOnce(r.clk.Now())
-	rep, err := r.ask("sdsc:8652", "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Grids) != 1 || len(rep.Grids[0].Health) != 0 {
-		t.Fatalf("health elements present with DisableHealthXML: %+v", rep.Grids[0].Health)
 	}
 }

@@ -34,10 +34,10 @@ import (
 //     injected clock, with deterministic ±10% jitter so a fleet of
 //     daemons sharing a cadence does not checkpoint in lockstep.
 
-// DefaultCheckpointGenerations is how many snapshot generations are
-// retained when Config.CheckpointGenerations is unset: the newest is
-// the restore candidate, the rest absorb torn writes and bit rot.
-const DefaultCheckpointGenerations = 3
+// checkpointGenerations is how many snapshot generations are retained:
+// the newest is the restore candidate, the rest absorb torn writes and
+// bit rot.
+const checkpointGenerations = 3
 
 // checkpointJitterFrac is the ± fraction of CheckpointInterval applied
 // to each scheduled checkpoint.
@@ -161,7 +161,7 @@ func (g *Gmetad) loadSnapshotFile(path string) (*rrd.Pool, error) {
 // Checkpoint writes the archive pool to a new durable snapshot
 // generation: encode to a temp file, fsync it, rename it to
 // <ArchivePath>.gen-<seq>, fsync the parent directory, then prune
-// generations beyond CheckpointGenerations. A failure at any step
+// generations beyond checkpointGenerations. A failure at any step
 // leaves the previous generation authoritative — a half-written
 // checkpoint is withdrawn, never published.
 func (g *Gmetad) Checkpoint() error {
@@ -245,7 +245,7 @@ func (g *Gmetad) writeGeneration() (bool, error) {
 // ending at newest. The legacy single-file snapshot and quarantined
 // files are never touched.
 func (g *Gmetad) pruneGenerations(newest uint64) {
-	keep := uint64(g.cfg.CheckpointGenerations)
+	keep := uint64(checkpointGenerations)
 	if newest < keep {
 		return
 	}
@@ -295,7 +295,7 @@ func (g *Gmetad) maybeCheckpoint(now time.Time) {
 }
 
 // jitteredInterval spreads checkpoints ±10% around the configured
-// cadence, deterministically under a fixed HealthSeed. Callers hold
+// cadence, deterministically per grid name. Callers hold
 // ckptMu (ckptRng is not otherwise synchronized).
 func (g *Gmetad) jitteredInterval() time.Duration {
 	base := g.cfg.CheckpointInterval

@@ -7,59 +7,6 @@ import (
 	"ganglia/internal/query"
 )
 
-func TestAddRemoveSource(t *testing.T) {
-	r := newRig(t)
-	r.cluster("meteor", "meteor:8649", 4, 1)
-	r.cluster("nashi", "nashi:8649", 3, 2)
-	g := r.gmetad(Config{
-		GridName: "SDSC",
-		Sources:  []DataSource{{Name: "meteor", Kind: SourceGmond, Addrs: []string{"meteor:8649"}}},
-	}, "")
-	g.PollOnce(r.clk.Now())
-	if got := g.Summary().Hosts(); got != 4 {
-		t.Fatalf("precondition: %d hosts", got)
-	}
-
-	// Attach a new cluster at runtime.
-	if err := g.AddSource(DataSource{Name: "nashi", Kind: SourceGmond, Addrs: []string{"nashi:8649"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddSource(DataSource{Name: "nashi", Kind: SourceGmond, Addrs: []string{"x:1"}}); err == nil {
-		t.Error("duplicate AddSource accepted")
-	}
-	if err := g.AddSource(DataSource{Name: "", Addrs: []string{"x:1"}}); err == nil {
-		t.Error("empty name accepted")
-	}
-	if err := g.AddSource(DataSource{Name: "y"}); err == nil {
-		t.Error("no addrs accepted")
-	}
-	r.clk.Advance(15 * time.Second)
-	g.PollOnce(r.clk.Now())
-	if got := g.Summary().Hosts(); got != 7 {
-		t.Errorf("after AddSource: %d hosts, want 7", got)
-	}
-	if _, err := g.Report(query.MustParse("/nashi")); err != nil {
-		t.Errorf("new source not queryable: %v", err)
-	}
-
-	// Detach it again.
-	if !g.RemoveSource("nashi") {
-		t.Fatal("RemoveSource returned false")
-	}
-	if g.RemoveSource("nashi") {
-		t.Error("double remove returned true")
-	}
-	if got := g.Summary().Hosts(); got != 4 {
-		t.Errorf("after RemoveSource: %d hosts", got)
-	}
-	if _, err := g.Report(query.MustParse("/nashi")); err == nil {
-		t.Error("removed source still queryable")
-	}
-	if names := g.SourceNames(); len(names) != 1 || names[0] != "meteor" {
-		t.Errorf("SourceNames = %v", names)
-	}
-}
-
 func TestOneLevelLazySummaries(t *testing.T) {
 	// The legacy daemon computes no summaries on the polling path, but
 	// summary queries still answer (computed at query time).

@@ -45,13 +45,25 @@ import (
 // generally every 15 seconds" (§2.3.1).
 const DefaultPollInterval = 15 * time.Second
 
-// DefaultMaxReportBytes is the default cap on one source download.
-const DefaultMaxReportBytes = 64 << 20
+// defaultMaxReportBytes is the default cap on one source download.
+const defaultMaxReportBytes = 64 << 20
 
-// DefaultBreakerThreshold is how many consecutive failed polls open a
+// Per-address retry backoff: the first failure holds an address back
+// addrBackoffBase, each further consecutive failure doubles the window
+// up to addrBackoffMax, and every window carries ±20 % jitter.
+const (
+	addrBackoffBase = 15 * time.Second
+	addrBackoffMax  = 2 * time.Minute
+)
+
+// breakerStretchPolls caps an open breaker's stretched cadence, in
+// multiples of PollInterval.
+const breakerStretchPolls = 4
+
+// defaultBreakerThreshold is how many consecutive failed polls open a
 // source's circuit breaker by default: at the default 15 s cadence, a
 // source dead for ~2.5 minutes starts being polled less often.
-const DefaultBreakerThreshold = 10
+const defaultBreakerThreshold = 10
 
 // Mode selects the monitoring-tree design under test.
 type Mode int
@@ -147,49 +159,22 @@ type Config struct {
 	// malicious source that streams bytes forever is failed (with
 	// ErrReportTooLarge) once the cap is reached, so a single source
 	// cannot grow this daemon's memory without bound. Defaults to
-	// 64 MiB; negative disables the cap.
+	// 64 MiB.
 	MaxReportBytes int64
-
-	// AddrBackoffBase is the retry delay applied to an address after
-	// its first failure; each further consecutive failure doubles it
-	// (with deterministic jitter) up to AddrBackoffMax. While an
-	// address is backing off, the poller prefers its healthy siblings;
-	// if every address of a source is backing off, the one due soonest
-	// is still probed each round — backoff reorders work, it never
-	// abandons a source. Defaults to 15 s; negative disables backoff.
-	AddrBackoffBase time.Duration
-	// AddrBackoffMax caps per-address backoff. Defaults to 2 min.
-	AddrBackoffMax time.Duration
 
 	// BreakerThreshold is how many consecutive failed polls open a
 	// source's circuit breaker: past it, the source's poll cadence is
-	// stretched exponentially (capped by BreakerMaxStretch — a dead
-	// source is polled less often, never abandoned, per the paper's
-	// retry-every-round fault model, §2.1). Defaults to 10; negative
+	// stretched exponentially, up to 4× PollInterval — a dead source is
+	// polled less often, never abandoned, per the paper's
+	// retry-every-round fault model (§2.1). Defaults to 10; negative
 	// disables the breaker.
 	BreakerThreshold int
-	// BreakerMaxStretch caps the breaker's stretched cadence. Defaults
-	// to 4× PollInterval.
-	BreakerMaxStretch time.Duration
-
-	// HealthSeed seeds the deterministic backoff jitter; any fixed
-	// value yields reproducible schedules under a virtual clock.
-	HealthSeed int64
-
-	// DisableHealthXML omits the per-source SOURCE_HEALTH elements
-	// from depth-0 query responses.
-	DisableHealthXML bool
 
 	// Archive enables round-robin metric histories.
 	Archive bool
 	// ArchiveSpec configures the databases; defaults to
 	// rrd.DefaultSpec.
 	ArchiveSpec rrd.Spec
-	// ArchiveShards is the archive pool's lock-shard count: history
-	// fetches on the serve path contend only with poll-loop updates
-	// that hash to the same shard. Defaults to rrd.DefaultShards;
-	// 1 restores the legacy global-lock layout (for measurement).
-	ArchiveShards int
 	// ArchivePath, if set, is the base path of the archive snapshots:
 	// checkpoints are published as <ArchivePath>.gen-<seq> generations,
 	// and New restores the newest generation that verifies, falling
@@ -208,11 +193,6 @@ type Config struct {
 	// SaveArchives and Checkpoint remain available for manual and
 	// shutdown saves. Requires ArchivePath.
 	CheckpointInterval time.Duration
-
-	// CheckpointGenerations is how many snapshot generations to
-	// retain; older generations are pruned after each successful
-	// checkpoint. Defaults to 3.
-	CheckpointGenerations int
 
 	// FS is the filesystem used for archive persistence; defaults to
 	// the real filesystem. Crash tests inject a vfs.FaultFS.
@@ -250,8 +230,7 @@ type Config struct {
 	// Connections beyond the cap are answered with an error comment
 	// and closed immediately (counted as RejectedConns), so a
 	// connection flood degrades to fast rejections instead of
-	// unbounded goroutine growth. Defaults to 1024; negative disables
-	// the cap.
+	// unbounded goroutine growth. Defaults to 1024.
 	MaxConns int
 
 	// EmitDTD embeds the Ganglia DTD in every query response, matching
@@ -285,12 +264,13 @@ type Gmetad struct {
 	acct Accounting
 	pool *rrd.Pool
 
-	mu    sync.RWMutex
+	// slots indexes the sources by name and order lists them in
+	// configuration order; both are built by New and never change.
 	slots map[string]*sourceSlot
-	order []string
+	order []*sourceSlot
 
-	// epoch counts snapshot publications and source-set changes; the
-	// response cache is valid only within one epoch.
+	// epoch counts snapshot publications and source health changes;
+	// the response cache is valid only within one epoch.
 	epoch atomic.Uint64
 	cache *responseCache
 	// tracker maintains the whole-tree reduction incrementally in
@@ -299,7 +279,7 @@ type Gmetad struct {
 	// hdrPrefix is the precomputed response header up to the root
 	// grid's LOCALTIME value (see buildHeaderPrefix).
 	hdrPrefix []byte
-	// sem is the max-connections semaphore; nil means uncapped.
+	// sem is the max-connections semaphore.
 	sem chan struct{}
 
 	// ckptMu serializes checkpoints and guards the checkpointer's
@@ -325,8 +305,8 @@ type Gmetad struct {
 }
 
 // Epoch returns the current poll epoch. It advances whenever a source
-// publishes a new snapshot or the source set changes; cached query
-// responses never cross an epoch boundary.
+// publishes a new snapshot or changes health; cached query responses
+// never cross an epoch boundary.
 func (g *Gmetad) Epoch() uint64 { return g.epoch.Load() }
 
 // bumpEpoch invalidates all cached query responses and wakes every
@@ -372,26 +352,14 @@ func New(cfg Config) (*Gmetad, error) {
 	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = 30 * time.Second
 	}
-	if cfg.MaxReportBytes == 0 {
-		cfg.MaxReportBytes = DefaultMaxReportBytes
-	}
-	if cfg.AddrBackoffBase == 0 {
-		cfg.AddrBackoffBase = 15 * time.Second
-	}
-	if cfg.AddrBackoffMax <= 0 {
-		cfg.AddrBackoffMax = 2 * time.Minute
+	if cfg.MaxReportBytes <= 0 {
+		cfg.MaxReportBytes = defaultMaxReportBytes
 	}
 	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if cfg.BreakerMaxStretch <= 0 {
-		cfg.BreakerMaxStretch = 4 * cfg.PollInterval
+		cfg.BreakerThreshold = defaultBreakerThreshold
 	}
 	if len(cfg.ArchiveSpec.Archives) == 0 {
 		cfg.ArchiveSpec = rrd.DefaultSpec()
-	}
-	if cfg.ArchiveShards <= 0 {
-		cfg.ArchiveShards = rrd.DefaultShards
 	}
 	if cfg.QueryReadTimeout <= 0 {
 		cfg.QueryReadTimeout = 10 * time.Second
@@ -408,11 +376,8 @@ func New(cfg Config) (*Gmetad, error) {
 	if cfg.WatchTimeout <= 0 {
 		cfg.WatchTimeout = 30 * time.Second
 	}
-	if cfg.MaxConns == 0 {
+	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 1024
-	}
-	if cfg.CheckpointGenerations <= 0 {
-		cfg.CheckpointGenerations = DefaultCheckpointGenerations
 	}
 	if cfg.FS == nil {
 		cfg.FS = vfs.OS{}
@@ -422,12 +387,10 @@ func New(cfg Config) (*Gmetad, error) {
 		slots:     make(map[string]*sourceSlot, len(cfg.Sources)),
 		hdrPrefix: buildHeaderPrefix(cfg.GridName, cfg.Authority, cfg.EmitDTD),
 		cache:     newResponseCache(cacheMaxEntries, cacheMaxBytes),
+		sem:       make(chan struct{}, cfg.MaxConns),
 	}
 	if cfg.Mode == NLevel {
 		g.tracker = summary.NewTracker()
-	}
-	if cfg.MaxConns > 0 {
-		g.sem = make(chan struct{}, cfg.MaxConns)
 	}
 	if cfg.Archive {
 		if cfg.ArchivePath != "" {
@@ -438,14 +401,12 @@ func New(cfg Config) (*Gmetad, error) {
 			g.recoverArchives()
 		}
 		if g.pool == nil {
-			g.pool = rrd.NewPoolShards(cfg.ArchiveSpec, cfg.ArchiveShards)
-		} else if g.pool.Shards() != cfg.ArchiveShards {
-			// Recovered pools are built with the default shard count;
-			// honor the configuration.
-			g.pool = g.pool.Resharded(cfg.ArchiveShards)
+			g.pool = rrd.NewPool(cfg.ArchiveSpec)
 		}
 	}
-	g.ckptRng = rand.New(rand.NewSource(cfg.HealthSeed ^ 0x636b7074)) // "ckpt"
+	// Seeded by the grid name: daemons sharing a cadence draw different
+	// jitter, so a fleet does not checkpoint in lockstep.
+	g.ckptRng = rand.New(rand.NewSource(int64(hashName(cfg.GridName)) ^ 0x636b7074)) // "ckpt"
 	for _, src := range cfg.Sources {
 		if src.Name == "" {
 			return nil, fmt.Errorf("gmetad: data source with empty name")
@@ -456,27 +417,18 @@ func New(cfg Config) (*Gmetad, error) {
 		if _, dup := g.slots[src.Name]; dup {
 			return nil, fmt.Errorf("gmetad: duplicate data source %q", src.Name)
 		}
-		slot, err := newSourceSlot(src)
-		if err != nil {
-			return nil, err
+		slot := &sourceSlot{cfg: src}
+		if src.Subscribe {
+			// Only a child gmetad speaks the stream handshake.
+			if src.Kind != SourceGmetad {
+				return nil, fmt.Errorf("gmetad: data source %q: Subscribe requires a gmetad child", src.Name)
+			}
+			slot.sub = &subscriber{}
 		}
 		g.slots[src.Name] = slot
-		g.order = append(g.order, src.Name)
+		g.order = append(g.order, slot)
 	}
 	return g, nil
-}
-
-// newSourceSlot builds one slot, validating the subscription option:
-// only a child gmetad speaks the stream handshake.
-func newSourceSlot(src DataSource) (*sourceSlot, error) {
-	slot := &sourceSlot{cfg: src}
-	if src.Subscribe {
-		if src.Kind != SourceGmetad {
-			return nil, fmt.Errorf("gmetad: data source %q: Subscribe requires a gmetad child", src.Name)
-		}
-		slot.sub = &subscriber{}
-	}
-	return slot, nil
 }
 
 // GridName returns the configured grid name.
@@ -493,73 +445,9 @@ func (g *Gmetad) Pool() *rrd.Pool { return g.pool }
 
 // SourceNames returns the configured source names in order.
 func (g *Gmetad) SourceNames() []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	out := make([]string, len(g.order))
-	copy(out, g.order)
-	return out
-}
-
-// AddSource attaches a new child at runtime. The static configuration
-// of trust edges is the paper's acknowledged limitation (§4); dynamic
-// sources are the hook the MDS-style self-organizing join protocol
-// (package tree's Autojoin) builds on.
-func (g *Gmetad) AddSource(src DataSource) error {
-	if src.Name == "" {
-		return fmt.Errorf("gmetad: data source with empty name")
-	}
-	if len(src.Addrs) == 0 {
-		return fmt.Errorf("gmetad: data source %q has no addresses", src.Name)
-	}
-	slot, err := newSourceSlot(src)
-	if err != nil {
-		return err
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, dup := g.slots[src.Name]; dup {
-		return fmt.Errorf("gmetad: duplicate data source %q", src.Name)
-	}
-	g.slots[src.Name] = slot
-	g.order = append(g.order, src.Name)
-	g.bumpEpoch()
-	return nil
-}
-
-// RemoveSource detaches a child; its data disappears from subsequent
-// reports. Archived history is retained for forensics.
-func (g *Gmetad) RemoveSource(name string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	slot, ok := g.slots[name]
-	if !ok {
-		return false
-	}
-	if slot.sub != nil {
-		slot.sub.shut()
-	}
-	delete(g.slots, name)
-	for i, n := range g.order {
-		if n == name {
-			g.order = append(g.order[:i], g.order[i+1:]...)
-			break
-		}
-	}
-	if g.tracker != nil {
-		g.tracker.Withdraw(name)
-	}
-	g.bumpEpoch()
-	return true
-}
-
-// snapshotOrder returns the slot list under the read lock, so pollers
-// and reporters tolerate concurrent AddSource/RemoveSource.
-func (g *Gmetad) snapshotOrder() []*sourceSlot {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]*sourceSlot, 0, len(g.order))
-	for _, name := range g.order {
-		out = append(out, g.slots[name])
+	for i, slot := range g.order {
+		out[i] = slot.cfg.Name
 	}
 	return out
 }
@@ -601,7 +489,7 @@ type SourceStatus struct {
 // Status reports per-source health, for operators and tests.
 func (g *Gmetad) Status() []SourceStatus {
 	out := make([]SourceStatus, 0)
-	for _, s := range g.snapshotOrder() {
+	for _, s := range g.order {
 		s.mu.RLock()
 		st := SourceStatus{
 			Name:        s.cfg.Name,
@@ -641,7 +529,7 @@ func (g *Gmetad) Status() []SourceStatus {
 // overlap: a daemon is driven by Run or by PollOnce calls from one
 // goroutine at a time (each slot's poller owns that slot's host memo).
 func (g *Gmetad) PollOnce(now time.Time) {
-	for _, slot := range g.snapshotOrder() {
+	for _, slot := range g.order {
 		g.safePoll(slot, now)
 	}
 	g.maybeCheckpoint(now)
@@ -653,7 +541,7 @@ func (g *Gmetad) Run(done <-chan struct{}) {
 	poll := func() {
 		var wg sync.WaitGroup
 		now := g.cfg.Clock.Now()
-		for _, slot := range g.snapshotOrder() {
+		for _, slot := range g.order {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -147,22 +147,21 @@ func assertHistoryPipelinesAgree(t *testing.T, g *Gmetad, host, label string) {
 	}
 }
 
-func histRig(t *testing.T, path string, shards int) (*rig, *Gmetad) {
+func histRig(t *testing.T, path string) (*rig, *Gmetad) {
 	r := newRig(t)
 	r.cluster("meteor", "meteor:8649", 5, 1)
 	g := r.gmetad(Config{
-		GridName:      "SDSC",
-		Sources:       []DataSource{{Name: "meteor", Kind: SourceGmond, Addrs: []string{"meteor:8649"}}},
-		Archive:       true,
-		ArchiveSpec:   histArchive(),
-		ArchivePath:   path,
-		ArchiveShards: shards,
+		GridName:    "SDSC",
+		Sources:     []DataSource{{Name: "meteor", Kind: SourceGmond, Addrs: []string{"meteor:8649"}}},
+		Archive:     true,
+		ArchiveSpec: histArchive(),
+		ArchivePath: path,
 	}, "sdsc:8652")
 	return r, g
 }
 
 func TestHistoryStreamingMatchesReference(t *testing.T) {
-	r, g := histRig(t, "", 0)
+	r, g := histRig(t, "")
 	for i := 0; i < 12; i++ {
 		r.clk.Advance(15 * time.Second)
 		g.PollOnce(r.clk.Now())
@@ -195,12 +194,11 @@ func TestHistoryStreamingMatchesReference(t *testing.T) {
 }
 
 // TestHistoryEquivalenceAfterRecovery proves the oracle holds across a
-// checkpoint save/recover cycle, including recovery into a different
-// shard count: history answers must not change when the pool's durable
-// state comes back from disk.
+// checkpoint save/recover cycle: history answers must not change when
+// the pool's durable state comes back from disk.
 func TestHistoryEquivalenceAfterRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "archives.snap")
-	r, g := histRig(t, path, 0)
+	r, g := histRig(t, path)
 	for i := 0; i < 10; i++ {
 		r.clk.Advance(15 * time.Second)
 		g.PollOnce(r.clk.Now())
@@ -220,37 +218,30 @@ func TestHistoryEquivalenceAfterRecovery(t *testing.T) {
 	}
 	g.Close()
 
-	for _, shards := range []int{1, 3} {
-		r2 := newRig(t)
-		r2.clk.Advance(r.clk.Now().Sub(t0))
-		g2 := r2.gmetad(Config{
-			GridName:      "SDSC",
-			Sources:       []DataSource{{Name: "meteor", Kind: SourceGmond, Addrs: []string{"meteor:8649"}}},
-			Archive:       true,
-			ArchiveSpec:   histArchive(),
-			ArchivePath:   path,
-			ArchiveShards: shards,
-		}, "")
-		if g2.Pool().Shards() != shards {
-			t.Fatalf("recovered pool has %d shards, want %d", g2.Pool().Shards(), shards)
-		}
-		if g2.Pool().Len() == 0 {
-			t.Fatal("recovery restored no series")
-		}
-		assertHistoryPipelinesAgree(t, g2, host, "recovered")
-		for q, want := range fresh {
-			got, err := renderHistoryStreaming(t, g2, q)
-			if err != nil {
-				t.Errorf("shards=%d %q: %v after recovery", shards, q, err)
-				continue
-			}
-			if got != want {
-				t.Errorf("shards=%d %q: answer changed across recovery:\n%s",
-					shards, q, excerptDiff(got, want))
-			}
-		}
-		g2.Close()
+	r2 := newRig(t)
+	r2.clk.Advance(r.clk.Now().Sub(t0))
+	g2 := r2.gmetad(Config{
+		GridName:    "SDSC",
+		Sources:     []DataSource{{Name: "meteor", Kind: SourceGmond, Addrs: []string{"meteor:8649"}}},
+		Archive:     true,
+		ArchiveSpec: histArchive(),
+		ArchivePath: path,
+	}, "")
+	if g2.Pool().Len() == 0 {
+		t.Fatal("recovery restored no series")
 	}
+	assertHistoryPipelinesAgree(t, g2, host, "recovered")
+	for q, want := range fresh {
+		got, err := renderHistoryStreaming(t, g2, q)
+		if err != nil {
+			t.Errorf("%q: %v after recovery", q, err)
+			continue
+		}
+		if got != want {
+			t.Errorf("%q: answer changed across recovery:\n%s", q, excerptDiff(got, want))
+		}
+	}
+	g2.Close()
 }
 
 // histDaemon is a source-less archiving daemon whose pool the test

@@ -77,10 +77,7 @@ func (g *Gmetad) ReferenceReport(q *query.Query) (*gxml.Report, error) {
 
 // fillHealth attaches per-source degradation records to the root grid.
 func (g *Gmetad) fillHealth(self *gxml.Grid) {
-	if g.cfg.DisableHealthXML {
-		return
-	}
-	self.Health = append(self.Health, collectHealth(g.snapshotOrder())...)
+	self.Health = append(self.Health, collectHealth(g.order)...)
 }
 
 // fillRoot builds the full root report. Its shape is the heart of the
@@ -88,7 +85,7 @@ func (g *Gmetad) fillHealth(self *gxml.Grid) {
 // remote grids appear as O(m) summaries in N-level mode versus full
 // recursive detail in 1-level mode.
 func (g *Gmetad) fillRoot(self *gxml.Grid) {
-	for _, slot := range g.snapshotOrder() {
+	for _, slot := range g.order {
 		data, _ := slot.snapshot()
 		if data == nil {
 			continue
@@ -153,18 +150,14 @@ func (g *Gmetad) fillSource(self *gxml.Grid, q *query.Query) error {
 		// Literal: one hash lookup at the source level; if the name is
 		// not a direct source, fall back to the flattened cluster
 		// index (clusters nested inside 1-level child grids).
-		g.mu.RLock()
-		slot, ok := g.slots[m.Name()]
-		g.mu.RUnlock()
-		if ok {
+		if slot, ok := g.slots[m.Name()]; ok {
 			appendSource(slot)
 		} else if data, c := g.findCluster(m.Name()); c != nil {
 			appendCluster(data, c)
 		}
 	} else {
-		slots := g.snapshotOrder()
 		seen := map[string]bool{}
-		for _, slot := range slots {
+		for _, slot := range g.order {
 			if m.Match(slot.cfg.Name) {
 				appendSource(slot)
 				data, _ := slot.snapshot()
@@ -177,7 +170,7 @@ func (g *Gmetad) fillSource(self *gxml.Grid, q *query.Query) error {
 			}
 		}
 		// Also match nested clusters not already covered.
-		for _, slot := range slots {
+		for _, slot := range g.order {
 			data, _ := slot.snapshot()
 			if data == nil {
 				continue

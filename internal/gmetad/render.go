@@ -250,21 +250,19 @@ func (g *Gmetad) renderBody(q *query.Query) ([]byte, error) {
 // source's grids (document order matches the reference DOM, which
 // serializes all clusters before all grids).
 func (g *Gmetad) renderRoot(summaryFilter bool) ([]byte, error) {
-	slots := g.snapshotOrder()
-
 	if summaryFilter {
 		var buf bytes.Buffer
 		w := gxml.NewWriter(&buf)
-		g.renderHealth(w, slots)
+		g.renderHealth(w)
 		w.SummaryBody(g.treeSummary())
 		return buf.Bytes(), w.Flush()
 	}
 
 	// One fragment per slot, taken once; presize the buffer from the
 	// fragment sizes so splicing large trees does not reallocate.
-	frags := make([]*sourceFragment, 0, len(slots))
+	frags := make([]*sourceFragment, 0, len(g.order))
 	size := 256
-	for _, slot := range slots {
+	for _, slot := range g.order {
 		if data, _ := slot.snapshot(); data != nil {
 			f := g.fragment(data, &g.acct.serve)
 			frags = append(frags, f)
@@ -275,7 +273,7 @@ func (g *Gmetad) renderRoot(summaryFilter bool) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Grow(size)
 	w := gxml.NewWriter(&buf)
-	g.renderHealth(w, slots)
+	g.renderHealth(w)
 	for _, f := range frags {
 		w.Raw(f.clusters)
 	}
@@ -286,11 +284,8 @@ func (g *Gmetad) renderRoot(summaryFilter bool) ([]byte, error) {
 }
 
 // renderHealth streams the per-source SOURCE_HEALTH records.
-func (g *Gmetad) renderHealth(w *gxml.Writer, slots []*sourceSlot) {
-	if g.cfg.DisableHealthXML {
-		return
-	}
-	for _, sh := range collectHealth(slots) {
+func (g *Gmetad) renderHealth(w *gxml.Writer) {
+	for _, sh := range collectHealth(g.order) {
 		w.SourceHealthElem(sh)
 	}
 }
@@ -351,10 +346,7 @@ func (g *Gmetad) renderSource(q *query.Query) ([]byte, error) {
 		// Literal: one hash lookup at the source level; if the name is
 		// not a direct source, fall back to the flattened cluster
 		// index (clusters nested inside 1-level child grids).
-		g.mu.RLock()
-		slot, ok := g.slots[m.Name()]
-		g.mu.RUnlock()
-		if ok {
+		if slot, ok := g.slots[m.Name()]; ok {
 			data, _ := slot.snapshot()
 			emitSource(data)
 		} else if data, c := g.findCluster(m.Name()); c != nil {
@@ -365,13 +357,12 @@ func (g *Gmetad) renderSource(q *query.Query) ([]byte, error) {
 		// set and the nested-cluster pass must all see the same
 		// generation, or a publish landing between them would mix two
 		// generations of one source into one answer.
-		slots := g.snapshotOrder()
-		snaps := make([]*sourceData, len(slots))
-		for i, slot := range slots {
+		snaps := make([]*sourceData, len(g.order))
+		for i, slot := range g.order {
 			snaps[i], _ = slot.snapshot()
 		}
 		seen := map[string]bool{}
-		for i, slot := range slots {
+		for i, slot := range g.order {
 			if m.Match(slot.cfg.Name) {
 				emitSource(snaps[i])
 				if snaps[i] != nil {

@@ -75,7 +75,7 @@ func (g *Gmetad) treeSummary() *summary.Summary {
 		return g.tracker.Total()
 	}
 	total := summary.New()
-	for _, slot := range g.snapshotOrder() {
+	for _, slot := range g.order {
 		data, _ := slot.snapshot()
 		if data != nil {
 			total.Merge(data.summaryOf())
@@ -91,7 +91,7 @@ func (g *Gmetad) Summary() *summary.Summary { return g.treeSummary().Clone() }
 // findCluster resolves a cluster name through the per-source flattened
 // indexes, in source order.
 func (g *Gmetad) findCluster(name string) (*sourceData, *clusterData) {
-	for _, slot := range g.snapshotOrder() {
+	for _, slot := range g.order {
 		data, _ := slot.snapshot()
 		if data == nil {
 			continue

@@ -96,9 +96,6 @@ func (ls *listenerSet) drainAll(timeout time.Duration) bool {
 // and closed immediately — under a flood the serve path degrades to
 // fast rejections instead of unbounded goroutine growth.
 func (g *Gmetad) acquireConn(c net.Conn) bool {
-	if g.sem == nil {
-		return true
-	}
 	select {
 	case g.sem <- struct{}{}:
 		return true
@@ -113,11 +110,7 @@ func (g *Gmetad) acquireConn(c net.Conn) bool {
 	}
 }
 
-func (g *Gmetad) releaseConn() {
-	if g.sem != nil {
-		<-g.sem
-	}
-}
+func (g *Gmetad) releaseConn() { <-g.sem }
 
 // ServeXML serves the legacy full-dump contract (gmetad's all-trusted
 // TCP port, historically 8651): every connection receives the complete

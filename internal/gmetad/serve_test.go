@@ -279,38 +279,6 @@ func TestResponseCacheForcedMisses(t *testing.T) {
 	}
 }
 
-// TestSourceSetChangeInvalidatesCache: membership changes alter the
-// root report, so they must retire cached responses too.
-func TestSourceSetChangeInvalidatesCache(t *testing.T) {
-	r := newRig(t)
-	r.cluster("meteor", "meteor:8649", 3, 1)
-	r.cluster("attic", "attic:8649", 2, 2)
-	g := r.gmetad(Config{
-		GridName: "SDSC",
-		Sources:  []DataSource{{Name: "meteor", Kind: SourceGmond, Addrs: []string{"meteor:8649"}}},
-	}, "sdsc:8652")
-	g.PollOnce(r.clk.Now())
-
-	before, err := r.askRaw("sdsc:8652", "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddSource(DataSource{Name: "attic", Kind: SourceGmond, Addrs: []string{"attic:8649"}}); err != nil {
-		t.Fatal(err)
-	}
-	g.PollOnce(r.clk.Now())
-	after, err := r.askRaw("sdsc:8652", "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after == before {
-		t.Error("root response unchanged after AddSource: stale cache served")
-	}
-	if !strings.Contains(after, `NAME="attic"`) {
-		t.Error("new source missing from post-AddSource response")
-	}
-}
-
 // TestHistoryQueriesBypassCache: history answers read the mutable
 // archive pool, which the epoch does not version.
 func TestHistoryQueriesBypassCache(t *testing.T) {

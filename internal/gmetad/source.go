@@ -106,16 +106,11 @@ func (g *Gmetad) pollSource(slot *sourceSlot, now time.Time) {
 	var doc []byte
 	timed(&g.acct.downloadParse, func() {
 		cr := &countingReader{r: conn}
-		var r io.Reader = cr
-		var capped *cappedReader
-		if g.cfg.MaxReportBytes > 0 {
-			capped = &cappedReader{r: cr, remaining: g.cfg.MaxReportBytes}
-			r = capped
-		}
-		doc, err = gxml.ReadReport(r, slot.memo.spare)
+		capped := &cappedReader{r: cr, remaining: g.cfg.MaxReportBytes}
+		doc, err = gxml.ReadReport(capped, slot.memo.spare)
 		g.acct.bytesIn.Add(cr.n)
 		// When the cap is what cut the stream, say so distinctly.
-		if err != nil && capped != nil && capped.remaining <= 0 {
+		if err != nil && capped.remaining <= 0 {
 			err = fmt.Errorf("%w (cap %d): %v", ErrReportTooLarge, g.cfg.MaxReportBytes, err)
 		}
 	})
@@ -334,29 +329,33 @@ func (g *Gmetad) dialFailover(slot *sourceSlot, now time.Time) (net.Conn, string
 }
 
 // noteAddrFailure charges one failure (dial, handshake, or parse) to an
-// address and extends its backoff window: the base delay doubles with
-// each consecutive failure up to AddrBackoffMax, with ±20% seeded
-// jitter so replicas that died together do not retry in lockstep.
+// address and extends its backoff window (see retryWindow). While an
+// address backs off the poller prefers its siblings; when every address
+// of a source is backing off, the one due soonest is still probed.
 func (g *Gmetad) noteAddrFailure(slot *sourceSlot, addr string, now time.Time) {
-	if g.cfg.AddrBackoffBase < 0 {
-		return
-	}
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
 	h := slot.healthOf(addr)
 	h.fails++
-	backoff := g.cfg.AddrBackoffBase
-	for i := 1; i < h.fails && backoff < g.cfg.AddrBackoffMax; i++ {
+	if slot.rng == nil {
+		slot.rng = rand.New(rand.NewSource(int64(hashName(slot.cfg.Name))))
+	}
+	h.retryAt = now.Add(retryWindow(h.fails, slot.rng))
+}
+
+// retryWindow is the wait before the next attempt after fails
+// consecutive failures, on a poll address and a subscription link
+// alike: addrBackoffBase doubled per failure after the first, capped at
+// addrBackoffMax, with ±20 % jitter drawn from rng so replicas that died
+// together do not retry in lockstep. Zero failures (a clean end) waits
+// the base window.
+func retryWindow(fails int, rng *rand.Rand) time.Duration {
+	backoff := addrBackoffBase
+	for i := 1; i < fails && backoff < addrBackoffMax; i++ {
 		backoff *= 2
 	}
-	if backoff > g.cfg.AddrBackoffMax {
-		backoff = g.cfg.AddrBackoffMax
-	}
-	if slot.rng == nil {
-		slot.rng = rand.New(rand.NewSource(g.cfg.HealthSeed ^ int64(hashName(slot.cfg.Name))))
-	}
-	jitter := 0.8 + 0.4*slot.rng.Float64()
-	h.retryAt = now.Add(time.Duration(float64(backoff) * jitter))
+	backoff = min(backoff, addrBackoffMax)
+	return time.Duration(float64(backoff) * (0.8 + 0.4*rng.Float64()))
 }
 
 // sourceFailed records a poll failure and writes zero records for every
@@ -364,8 +363,8 @@ func (g *Gmetad) noteAddrFailure(slot *sourceSlot, addr string, now time.Time) {
 // time-of-death signature instead of a silent gap. Past
 // BreakerThreshold consecutive failures the source's circuit breaker
 // opens, stretching its poll cadence exponentially up to
-// BreakerMaxStretch — a fully dead source costs less each round but is
-// never abandoned.
+// breakerStretchPolls rounds — a fully dead source costs less each
+// round but is never abandoned.
 func (g *Gmetad) sourceFailed(slot *sourceSlot, now time.Time, err error) {
 	g.acct.pollFails.Add(1)
 	slot.mu.Lock()
@@ -378,15 +377,14 @@ func (g *Gmetad) sourceFailed(slot *sourceSlot, now time.Time, err error) {
 	slot.consecFails++
 	tripped := false
 	var stretch time.Duration
+	maxStretch := breakerStretchPolls * g.cfg.PollInterval
 	if g.cfg.BreakerThreshold > 0 && slot.consecFails >= g.cfg.BreakerThreshold {
 		over := slot.consecFails - g.cfg.BreakerThreshold
 		stretch = 2 * g.cfg.PollInterval
-		for i := 0; i < over && stretch < g.cfg.BreakerMaxStretch; i++ {
+		for i := 0; i < over && stretch < maxStretch; i++ {
 			stretch *= 2
 		}
-		if stretch > g.cfg.BreakerMaxStretch {
-			stretch = g.cfg.BreakerMaxStretch
-		}
+		stretch = min(stretch, maxStretch)
 		slot.nextPollAt = now.Add(stretch)
 		tripped = !slot.breakerOpen
 		slot.breakerOpen = true
@@ -407,7 +405,7 @@ func (g *Gmetad) sourceFailed(slot *sourceSlot, now time.Time, err error) {
 	if tripped {
 		g.acct.breakerTrips.Add(1)
 		g.logf("source %s breaker OPEN after %d consecutive failures; cadence stretched to %v (cap %v)",
-			slot.cfg.Name, g.cfg.BreakerThreshold, stretch, g.cfg.BreakerMaxStretch)
+			slot.cfg.Name, g.cfg.BreakerThreshold, stretch, maxStretch)
 	}
 
 	if g.pool == nil || data == nil {

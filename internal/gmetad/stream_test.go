@@ -135,7 +135,7 @@ func (sr *streamRig) round() bool {
 	now := sr.r.clk.Advance(15 * time.Second)
 	sr.child.PollOnce(now)
 	synced := sr.awaitQuiesce(2 * time.Second)
-	for _, slot := range sr.oracle.snapshotOrder() {
+	for _, slot := range sr.oracle.order {
 		slot.memo = hostMemo{}
 	}
 	sr.oracle.PollOnce(now)
@@ -145,19 +145,25 @@ func (sr *streamRig) round() bool {
 
 // awaitQuiesce waits (wall clock) until no subscriber activity is
 // pending: the link has either applied every generation the child has
-// published, or it is not streaming at all. Only then is a comparison
-// against the oracle meaningful.
+// published, or it is idle — down, with no connect attempt in flight.
+// An attempt in flight is waited out, so a slow handshake is not taken
+// for a failed one. Only then is a comparison against the oracle
+// meaningful.
 func (sr *streamRig) awaitQuiesce(within time.Duration) bool {
+	sub := sr.sub.order[0].sub
 	deadline := time.Now().Add(within)
 	for {
-		st := sr.sub.Status()[0]
-		if st.Streaming && st.StreamGen == sr.child.Epoch() {
+		// State and generation are read under one lock: a handshake
+		// completing between two reads cannot look like an idle link.
+		sub.mu.Lock()
+		state, gen := sub.state, sub.gen
+		sub.mu.Unlock()
+		switch {
+		case state == subStreaming && gen == sr.child.Epoch():
 			return true
-		}
-		if !st.Streaming {
+		case state == subIdle:
 			return false
-		}
-		if time.Now().After(deadline) {
+		case time.Now().After(deadline):
 			return false
 		}
 		time.Sleep(time.Millisecond)
@@ -580,7 +586,7 @@ func TestFragmentSpanReassembly(t *testing.T) {
 	}, "")
 	g.PollOnce(r.clk.Now())
 
-	data, _ := g.snapshotOrder()[0].snapshot()
+	data, _ := g.order[0].snapshot()
 	frag := g.fragment(data, nil)
 	if len(frag.spans) == 0 {
 		t.Fatal("published fragment has no recorded spans")

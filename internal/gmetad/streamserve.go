@@ -110,15 +110,14 @@ func (g *Gmetad) captureFeed(summaryForm bool) (*feedView, error) {
 		return v, nil
 	}
 
-	slots := g.snapshotOrder()
 	var buf bytes.Buffer
 	w := gxml.NewWriter(&buf)
-	g.renderHealth(w, slots)
+	g.renderHealth(w)
 	if err := w.Flush(); err != nil {
 		return nil, err
 	}
 	v.health = buf.Bytes()
-	for _, slot := range slots {
+	for _, slot := range g.order {
 		if data, _ := slot.snapshot(); data != nil {
 			v.slots = append(v.slots, feedSlot{name: slot.cfg.Name, kind: data.kind, data: data, frag: g.fragment(data, nil)})
 		}

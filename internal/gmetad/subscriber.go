@@ -151,10 +151,6 @@ func (g *Gmetad) streamOnce(slot *sourceSlot, sub *subscriber) error {
 		return fail(fmt.Errorf("subscribe %s: %w", addr, err))
 	}
 
-	maxPayload := 0
-	if g.cfg.MaxReportBytes > 0 {
-		maxPayload = int(g.cfg.MaxReportBytes)
-	}
 	cr := &countingReader{r: conn}
 	br := bufio.NewReaderSize(cr, 64*1024)
 	var counted int64
@@ -162,7 +158,7 @@ func (g *Gmetad) streamOnce(slot *sourceSlot, sub *subscriber) error {
 		if err := conn.SetReadDeadline(time.Now().Add(idle)); err != nil {
 			return nil, err
 		}
-		f, err := stream.ReadFrame(br, maxPayload)
+		f, err := stream.ReadFrame(br, int(g.cfg.MaxReportBytes))
 		g.acct.bytesIn.Add(cr.n - counted)
 		counted = cr.n
 		return f, err
@@ -283,10 +279,6 @@ func (g *Gmetad) applyStreamFrame(l *streamLink, f *stream.Frame, full bool) err
 func (g *Gmetad) subTeardown(slot *sourceSlot, sub *subscriber, err error) {
 	now := g.cfg.Clock.Now()
 	g.acct.streamFallbacks.Add(1)
-	base := g.cfg.AddrBackoffBase
-	if base <= 0 {
-		base = g.cfg.PollInterval
-	}
 	sub.mu.Lock()
 	if sub.conn != nil {
 		_ = sub.conn.Close()
@@ -294,23 +286,16 @@ func (g *Gmetad) subTeardown(slot *sourceSlot, sub *subscriber, err error) {
 	}
 	wasStreaming := sub.state == subStreaming
 	sub.state = subIdle
-	backoff := base
 	if err == nil {
 		sub.fails = 0
 	} else {
 		sub.fails++
-		for i := 1; i < sub.fails && backoff < g.cfg.AddrBackoffMax; i++ {
-			backoff *= 2
-		}
-		if backoff > g.cfg.AddrBackoffMax {
-			backoff = g.cfg.AddrBackoffMax
-		}
 	}
 	if sub.rng == nil {
-		sub.rng = rand.New(rand.NewSource(g.cfg.HealthSeed ^ int64(hashName(slot.cfg.Name))<<1 ^ 0x53554253)) // "SUBS"
+		sub.rng = rand.New(rand.NewSource(int64(hashName(slot.cfg.Name))<<1 ^ 0x53554253)) // "SUBS"
 	}
-	jitter := 0.8 + 0.4*sub.rng.Float64()
-	sub.retryAt = now.Add(time.Duration(float64(backoff) * jitter))
+	backoff := retryWindow(sub.fails, sub.rng)
+	sub.retryAt = now.Add(backoff)
 	closed := sub.closed
 	sub.mu.Unlock()
 
@@ -329,7 +314,7 @@ func (g *Gmetad) subTeardown(slot *sourceSlot, sub *subscriber, err error) {
 // waits for their goroutines — part of Drain and Close, ahead of the
 // listener drain, so shutdown leaves no subscriber running.
 func (g *Gmetad) closeSubscribers() {
-	for _, slot := range g.snapshotOrder() {
+	for _, slot := range g.order {
 		if slot.sub != nil {
 			slot.sub.shut()
 		}

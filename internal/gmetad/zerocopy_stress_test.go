@@ -256,7 +256,7 @@ func TestZeroCopyStress(t *testing.T) {
 	}
 	readers := []func() error{
 		func() error { // direct reads, as the serve path takes them
-			for _, slot := range g.snapshotOrder() {
+			for _, slot := range g.order {
 				if data, _ := slot.snapshot(); data != nil {
 					if err := checkFrag(data, g.fragment(data, nil)); err != nil {
 						return err

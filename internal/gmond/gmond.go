@@ -274,37 +274,6 @@ func (g *Gmond) encode(m metric.Metric) []byte {
 	return a.Encode()
 }
 
-// SetMetric publishes a user-defined metric — the "user-defined
-// key-value pairs" the paper's gmon gathers alongside hardware and OS
-// parameters (§1). The metric is applied to local state and announced
-// on the channel immediately; callers re-announce by calling SetMetric
-// again within the metric's TMAX, exactly like an application calling
-// gmetric from cron. A zero TMAX defaults to 60 s, and a zero DMAX
-// keeps the metric until overwritten.
-func (g *Gmond) SetMetric(m metric.Metric) error {
-	if g.cfg.Mute {
-		return fmt.Errorf("gmond: mute agent cannot publish metrics")
-	}
-	if m.Name == "" {
-		return fmt.Errorf("gmond: metric with empty name")
-	}
-	if m.Name == metric.HeartbeatName {
-		return fmt.Errorf("gmond: %q is reserved", metric.HeartbeatName)
-	}
-	if m.TMAX == 0 {
-		m.TMAX = 60
-	}
-	if m.Source == "" {
-		m.Source = "gmetric"
-	}
-	now := g.cfg.Clock.Now()
-	g.mu.Lock()
-	g.applyOwn(m, now)
-	pkt := g.encode(m)
-	g.mu.Unlock()
-	return g.cfg.Bus.Send(pkt)
-}
-
 // applyOwn records our own metric locally. We do not depend on channel
 // loopback for self-knowledge; duplicate delivery through the bus is
 // filtered in handlePacket.

@@ -10,12 +10,23 @@ import (
 	"ganglia/internal/metric"
 )
 
-func TestWriteReportWithDTDRoundTrip(t *testing.T) {
+// withDTD serializes r as a daemon that embeds the DTD does: the
+// declaration follows the XML declaration, ahead of GANGLIA_XML.
+func withDTD(t *testing.T, r *Report) string {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteReportWithDTD(&buf, sampleReport()); err != nil {
+	if err := WriteReport(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	body, ok := strings.CutPrefix(buf.String(), XMLDecl)
+	if !ok {
+		t.Fatal("report does not open with the XML declaration")
+	}
+	return XMLDecl + DTD + body
+}
+
+func TestDTDOutputRoundTrip(t *testing.T) {
+	out := withDTD(t, sampleReport())
 	if !strings.Contains(out, "<!DOCTYPE GANGLIA_XML [") {
 		t.Fatal("no DTD in output")
 	}
@@ -30,11 +41,7 @@ func TestWriteReportWithDTDRoundTrip(t *testing.T) {
 }
 
 func TestDTDOutputAcceptedByStdlib(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteReportWithDTD(&buf, sampleReport()); err != nil {
-		t.Fatal(err)
-	}
-	dec := xml.NewDecoder(&buf)
+	dec := xml.NewDecoder(strings.NewReader(withDTD(t, sampleReport())))
 	dec.CharsetReader = func(charset string, input io.Reader) (io.Reader, error) {
 		return input, nil // output is pure ASCII
 	}

@@ -3,6 +3,7 @@ package gxml
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -21,27 +22,25 @@ func TestSourceHealthRoundTrip(t *testing.T) {
 		{Name: "inner", Status: "up", ActiveAddr: "inner:8649"},
 	}
 
-	for _, withDTD := range []bool{false, true} {
-		var buf bytes.Buffer
-		var err error
-		if withDTD {
-			err = WriteReportWithDTD(&buf, rep)
-		} else {
-			err = WriteReport(&buf, rep)
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	for _, dtd := range []bool{false, true} {
+		doc := buf.String()
+		if dtd {
+			doc = withDTD(t, rep)
 		}
+		got, err := Parse(strings.NewReader(doc))
 		if err != nil {
-			t.Fatalf("write (dtd=%v): %v", withDTD, err)
-		}
-		got, err := Parse(&buf)
-		if err != nil {
-			t.Fatalf("parse (dtd=%v): %v", withDTD, err)
+			t.Fatalf("parse (dtd=%v): %v", dtd, err)
 		}
 		if !reflect.DeepEqual(got.Grids[0].Health, rep.Grids[0].Health) {
 			t.Errorf("outer health (dtd=%v):\n got %+v\nwant %+v",
-				withDTD, got.Grids[0].Health[1], rep.Grids[0].Health[1])
+				dtd, got.Grids[0].Health[1], rep.Grids[0].Health[1])
 		}
 		if !reflect.DeepEqual(got.Grids[0].Grids[0].Health, rep.Grids[0].Grids[0].Health) {
-			t.Errorf("nested health (dtd=%v): %+v", withDTD, got.Grids[0].Grids[0].Health)
+			t.Errorf("nested health (dtd=%v): %+v", dtd, got.Grids[0].Grids[0].Health)
 		}
 	}
 }

@@ -37,8 +37,7 @@ avoid. Those helpers and the DOM builders survive only in reference.go,
 as the oracle the streaming renderer is proven byte-identical against.
 This rule flags, in serve-path packages outside reference.go: calls to
 the deep-copy helpers or ReferenceReport, composite literals of
-gxml.Report, and calls to gxml.RenderReport / WriteReport /
-WriteReportWithDTD. History answers are the deliberate exception —
+gxml.Report, and calls to gxml.RenderReport / WriteReport. History answers are the deliberate exception —
 they read the mutable archive pool, so the DOM path is their contract —
 and carry reasoned allow directives.`,
 	Fix: `Render through the fragment splice (renderBody/writeAnswer) or, for
@@ -78,7 +77,7 @@ func runNoCopyServe(pass *Pass) {
 func checkNoCopyCall(pass *Pass, call *ast.CallExpr) {
 	info := pass.Pkg.Info
 	if name, ok := pkgFuncCall(info, call, "ganglia/internal/gxml",
-		"RenderReport", "WriteReport", "WriteReportWithDTD"); ok {
+		"RenderReport", "WriteReport"); ok {
 		pass.Reportf(call.Pos(),
 			"serve-path code serializes a DOM via gxml.%s; responses must splice cached fragments (writeAnswer), not render trees per query", name)
 		return

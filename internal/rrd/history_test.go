@@ -375,40 +375,6 @@ func TestSnapshotBytesIndependentOfShardCount(t *testing.T) {
 	}
 }
 
-func TestReshardedPreservesState(t *testing.T) {
-	p := NewPoolShards(multiCFSpec(), 2)
-	for i := 0; i < 20; i++ {
-		key := "c/h" + string(rune('a'+i)) + "/m"
-		for j := 0; j < 4; j++ {
-			if err := p.Update(key, tAligned.Add(time.Duration(j)*15*time.Second), float64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if rp := p.Resharded(2); rp != p {
-		t.Error("Resharded to the same count did not return the receiver")
-	}
-	var before bytes.Buffer
-	if err := p.WriteSnapshot(&before); err != nil {
-		t.Fatal(err)
-	}
-	rp := p.Resharded(7)
-	if rp.Shards() != 7 {
-		t.Fatalf("Shards = %d", rp.Shards())
-	}
-	var after bytes.Buffer
-	if err := rp.WriteSnapshot(&after); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before.Bytes(), after.Bytes()) {
-		t.Error("resharding changed the pool's durable state")
-	}
-	// The resharded pool keeps updating normally.
-	if err := rp.Update("c/ha/m", tAligned.Add(time.Hour), 3); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // --- Legacy checkpoint compatibility ---
 //
 // Snapshots written before the columnar slab carried each archive's

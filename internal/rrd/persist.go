@@ -202,30 +202,3 @@ func LoadPool(r io.Reader) (*Pool, error) {
 	}
 	return p, nil
 }
-
-// Resharded returns a pool with n shards holding this pool's databases
-// and counters. Checkpoint recovery constructs pools with the default
-// shard count; a gmetad configured differently reshards the recovered
-// pool before serving from it. The databases move (not copy): the
-// receiver must not be used afterwards.
-func (p *Pool) Resharded(n int) *Pool {
-	if n < 1 {
-		n = 1
-	}
-	if n == len(p.shards) {
-		return p
-	}
-	np := NewPoolShards(p.spec, n)
-	for _, s := range p.shards {
-		s.lock()
-		for k, db := range s.dbs {
-			c, h, m := np.names.intern3(k.cluster, k.host, k.metric)
-			nk := seriesKey{cluster: c, host: h, metric: m, depth: k.depth}
-			np.shardOf(nk).dbs[nk] = db
-		}
-		np.shards[0].updates += s.updates
-		np.shards[0].errors += s.errors
-		s.mu.Unlock()
-	}
-	return np
-}

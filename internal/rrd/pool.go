@@ -305,82 +305,3 @@ func (p *Pool) LockContention() (contended uint64, wait time.Duration) {
 	}
 	return contended, wait
 }
-
-// Batcher queues samples and applies them to a Pool in one critical
-// section per shard per Flush. The paper's §4 notes that gmetad's
-// archiving "makes too many updates to the file-based databases";
-// batching is the remedy it anticipates, and the ablation benchmark
-// compares the two disciplines. Sharding keeps the batch's critical
-// sections narrow: a flush holds each shard's lock only for that
-// shard's slice of the batch, so a concurrent history fetch on another
-// shard never waits behind the whole batch.
-type Batcher struct {
-	pool    *Pool
-	pending []batchedSample
-}
-
-type batchedSample struct {
-	key seriesKey
-	t   time.Time
-	v   float64
-}
-
-// NewBatcher returns a Batcher feeding pool.
-func NewBatcher(pool *Pool) *Batcher {
-	return &Batcher{pool: pool}
-}
-
-// Add queues one sample. Samples for the same key must be added in
-// time order, as with direct updates.
-func (b *Batcher) Add(key string, t time.Time, v float64) {
-	b.pending = append(b.pending, batchedSample{b.pool.keyOf(key), t, v})
-}
-
-// Pending returns the queue length.
-func (b *Batcher) Pending() int { return len(b.pending) }
-
-// Flush applies all queued samples, holding each shard's lock once for
-// its slice of the batch, and empties the queue, returning the count
-// applied and the first error (flushing continues past errors so one
-// bad sample cannot wedge the queue).
-func (b *Batcher) Flush() (applied int, first error) {
-	p := b.pool
-	for si, s := range p.shards {
-		touched := false
-		for _, smp := range b.pending {
-			if int(smp.key.hash())%len(p.shards) != si {
-				continue
-			}
-			if !touched {
-				s.lock()
-				touched = true
-			}
-			db := s.dbs[smp.key]
-			if db == nil {
-				var err error
-				db, err = New(p.spec)
-				if err != nil {
-					if first == nil {
-						first = err
-					}
-					continue
-				}
-				s.dbs[smp.key] = db
-			}
-			if err := db.Update(smp.t, smp.v); err != nil {
-				s.errors++
-				if first == nil {
-					first = err
-				}
-				continue
-			}
-			s.updates++
-			applied++
-		}
-		if touched {
-			s.mu.Unlock()
-		}
-	}
-	b.pending = b.pending[:0]
-	return applied, first
-}

@@ -375,41 +375,6 @@ func TestPoolBasics(t *testing.T) {
 	}
 }
 
-func TestBatcherEquivalence(t *testing.T) {
-	direct := NewPool(smallSpec())
-	batched := NewPool(smallSpec())
-	b := NewBatcher(batched)
-	now := t0
-	for round := 0; round < 10; round++ {
-		now = now.Add(15 * time.Second)
-		for i := 0; i < 5; i++ {
-			key := "c/n" + string(rune('0'+i)) + "/m"
-			v := float64(round * i)
-			if err := direct.Update(key, now, v); err != nil {
-				t.Fatal(err)
-			}
-			b.Add(key, now, v)
-		}
-		if b.Pending() != 5 {
-			t.Fatalf("pending = %d", b.Pending())
-		}
-		applied, err := b.Flush()
-		if err != nil || applied != 5 {
-			t.Fatalf("flush: %d %v", applied, err)
-		}
-	}
-	for _, key := range direct.Keys() {
-		dv, _ := direct.Last(key)
-		bv, ok := batched.Last(key)
-		if !ok {
-			t.Fatalf("batched pool missing %s", key)
-		}
-		if dv != bv && !(math.IsNaN(dv) && math.IsNaN(bv)) {
-			t.Errorf("%s: direct %v vs batched %v", key, dv, bv)
-		}
-	}
-}
-
 // TestRejectedUpdateAllocsNothing gates the archive hot path's cheapest
 // case: a sample coalesced away because its instant was already written
 // (two ingests of one source within one archive step) must cost the
@@ -432,24 +397,6 @@ func TestRejectedUpdateAllocsNothing(t *testing.T) {
 	}
 }
 
-func TestBatcherFlushContinuesPastErrors(t *testing.T) {
-	p := NewPool(smallSpec())
-	b := NewBatcher(p)
-	b.Add("k", t0.Add(15*time.Second), 1)
-	b.Add("k", t0.Add(15*time.Second), 2) // duplicate timestamp: error
-	b.Add("k", t0.Add(30*time.Second), 3) // still applied
-	applied, err := b.Flush()
-	if applied != 2 {
-		t.Errorf("applied = %d, want 2", applied)
-	}
-	if !errors.Is(err, ErrPastUpdate) {
-		t.Errorf("err = %v", err)
-	}
-	if b.Pending() != 0 {
-		t.Error("queue not emptied")
-	}
-}
-
 func BenchmarkUpdate(b *testing.B) {
 	db, _ := New(DefaultSpec())
 	now := t0
@@ -462,9 +409,8 @@ func BenchmarkUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolPerUpdate vs BenchmarkPoolBatched is the ablation for
-// the paper's §4 archiving bottleneck: one lock round-trip per sample
-// versus one per polling round.
+// BenchmarkPoolPerUpdate measures the paper's §4 archiving bottleneck:
+// one lock round-trip per sample, 300 series per polling round.
 func BenchmarkPoolPerUpdate(b *testing.B) {
 	p := NewPool(DefaultSpec())
 	keys := make([]string, 300)
@@ -480,27 +426,6 @@ func BenchmarkPoolPerUpdate(b *testing.B) {
 			if err := p.Update(k, now, 1); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-func BenchmarkPoolBatched(b *testing.B) {
-	p := NewPool(DefaultSpec())
-	bt := NewBatcher(p)
-	keys := make([]string, 300)
-	for i := range keys {
-		keys[i] = "c/n" + itoa(i) + "/m"
-	}
-	now := t0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = now.Add(15 * time.Second)
-		for _, k := range keys {
-			bt.Add(k, now, 1)
-		}
-		if _, err := bt.Flush(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

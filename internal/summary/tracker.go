@@ -82,20 +82,6 @@ func (t *Tracker) Publish(source string, gen uint64, s *Summary) bool {
 	return true
 }
 
-// Withdraw removes source's contribution (the source was detached).
-func (t *Tracker) Withdraw(source string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p := t.parts[source]
-	if p == nil {
-		return
-	}
-	delete(t.parts, source)
-	next := t.total.Load().Clone()
-	next.Unmerge(p.sum)
-	t.total.Store(next)
-}
-
 // Total returns the current whole-tree reduction. The returned summary
 // is shared and immutable: callers must not modify it. Successive calls
 // between publishes return the same value, which is what lets rendered

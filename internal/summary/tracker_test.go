@@ -129,26 +129,6 @@ func TestTrackerSamePointerRepublishAdvancesGeneration(t *testing.T) {
 	}
 }
 
-func TestTrackerWithdraw(t *testing.T) {
-	tr := NewTracker()
-	a := mkSummary(3, 1, "cpu_num", "load_one")
-	b := mkSummary(5, 2, "cpu_num")
-	tr.Publish("a", 1, a)
-	tr.Publish("b", 1, b)
-	tr.Withdraw("a")
-	summariesClose(t, tr.Total(), scratchTotal(map[string]*Summary{"b": b}))
-	// load_one was only ever contributed by a; unmerge must delete it,
-	// not leave a zero-count husk.
-	if _, ok := tr.Total().Metrics["load_one"]; ok {
-		t.Error("withdrawn source's exclusive metric survived")
-	}
-	tr.Withdraw("a") // unknown withdraw is a no-op
-	tr.Withdraw("b")
-	if got := tr.Total(); got.Hosts() != 0 || len(got.Metrics) != 0 {
-		t.Errorf("empty tracker total: %d hosts, %d metrics", got.Hosts(), len(got.Metrics))
-	}
-}
-
 func TestTrackerRebaseBoundsDrift(t *testing.T) {
 	tr := NewTracker()
 	live := map[string]*Summary{}

@@ -8,7 +8,6 @@ import (
 	"ganglia/internal/clock"
 	"ganglia/internal/gmetad"
 	"ganglia/internal/query"
-	"ganglia/internal/transport"
 )
 
 var t0 = time.Unix(1_057_000_000, 0)
@@ -154,92 +153,5 @@ func TestSetClusterSize(t *testing.T) {
 	inst.PollRound(clk.Now())
 	if got := inst.Root().Summary().Hosts(); got != 96 {
 		t.Errorf("after resize: %d hosts, want 96", got)
-	}
-}
-
-func TestAutojoin(t *testing.T) {
-	clk := clock.NewVirtual(t0)
-	net := transport.NewInMemNetwork()
-
-	// A parent with no configured children.
-	parent, err := gmetad.New(gmetad.Config{
-		GridName: "root", Authority: "http://root/",
-		Network: net, Clock: clk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parent.Close()
-	jl := NewJoinListener(parent, "s3cret", 60*time.Second, clk)
-	l, err := net.Listen("root:8653")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go jl.Serve(l)
-	defer jl.Close()
-
-	// A cluster announces itself.
-	clkNow := clk.Now()
-	_ = clkNow
-	if err := SendJoin(net, "root:8653", "s3cret", "meteor", gmetad.SourceGmond, []string{"meteor:8649"}); err != nil {
-		t.Fatalf("join: %v", err)
-	}
-	if names := parent.SourceNames(); len(names) != 1 || names[0] != "meteor" {
-		t.Fatalf("sources after join: %v", names)
-	}
-
-	// Wrong credential is denied and adds nothing.
-	if err := SendJoin(net, "root:8653", "wrong", "evil", gmetad.SourceGmond, []string{"evil:1"}); err == nil {
-		t.Error("bad credential accepted")
-	}
-	if len(parent.SourceNames()) != 1 {
-		t.Errorf("sources after denied join: %v", parent.SourceNames())
-	}
-	if acc, den := jl.Stats(); acc != 1 || den != 1 {
-		t.Errorf("stats = %d/%d", acc, den)
-	}
-
-	// Lease refresh keeps the child; silence prunes it.
-	clk.Advance(40 * time.Second)
-	if err := SendJoin(net, "root:8653", "s3cret", "meteor", gmetad.SourceGmond, []string{"meteor:8649"}); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(40 * time.Second)
-	if pruned := jl.Prune(clk.Now()); len(pruned) != 0 {
-		t.Errorf("pruned too early: %v", pruned)
-	}
-	clk.Advance(61 * time.Second)
-	pruned := jl.Prune(clk.Now())
-	if len(pruned) != 1 || pruned[0] != "meteor" {
-		t.Errorf("pruned = %v", pruned)
-	}
-	if len(parent.SourceNames()) != 0 {
-		t.Errorf("sources after prune: %v", parent.SourceNames())
-	}
-}
-
-func TestAutojoinMalformed(t *testing.T) {
-	clk := clock.NewVirtual(t0)
-	net := transport.NewInMemNetwork()
-	parent, err := gmetad.New(gmetad.Config{GridName: "root", Network: net, Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parent.Close()
-	jl := NewJoinListener(parent, "s", 0, clk)
-	l, _ := net.Listen("root:8653")
-	go jl.Serve(l)
-	defer jl.Close()
-
-	conn, err := net.Dial("root:8653")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Write([]byte("GET / HTTP/1.0\n"))
-	buf := make([]byte, 256)
-	n, _ := conn.Read(buf)
-	conn.Close()
-	if !strings.HasPrefix(string(buf[:n]), "DENY") {
-		t.Errorf("malformed join response: %q", buf[:n])
 	}
 }
