@@ -29,13 +29,14 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ganglia/internal/clock"
 	"ganglia/internal/rrd"
-	"ganglia/internal/summary"
 	"ganglia/internal/transport"
 	"ganglia/internal/vfs"
 )
@@ -264,18 +265,17 @@ type Gmetad struct {
 	acct Accounting
 	pool *rrd.Pool
 
-	// slots indexes the sources by name and order lists them in
-	// configuration order; both are built by New and never change.
-	slots map[string]*sourceSlot
-	order []*sourceSlot
+	// slots indexes the sources by name, order lists them in
+	// configuration order and byName in name order, the order Summary
+	// folds them in; all three are built by New and never change.
+	slots  map[string]*sourceSlot
+	order  []*sourceSlot
+	byName []*sourceSlot
 
 	// epoch counts snapshot publications and source health changes;
 	// the response cache is valid only within one epoch.
 	epoch atomic.Uint64
 	cache *responseCache
-	// tracker maintains the whole-tree reduction incrementally in
-	// N-level mode; nil in 1-level mode (see treeSummary).
-	tracker *summary.Tracker
 	// hdrPrefix is the precomputed response header up to the root
 	// grid's LOCALTIME value (see buildHeaderPrefix).
 	hdrPrefix []byte
@@ -389,9 +389,6 @@ func New(cfg Config) (*Gmetad, error) {
 		cache:     newResponseCache(cacheMaxEntries, cacheMaxBytes),
 		sem:       make(chan struct{}, cfg.MaxConns),
 	}
-	if cfg.Mode == NLevel {
-		g.tracker = summary.NewTracker()
-	}
 	if cfg.Archive {
 		if cfg.ArchivePath != "" {
 			// Recovery never fails New: a corrupt or torn snapshot is
@@ -428,6 +425,8 @@ func New(cfg Config) (*Gmetad, error) {
 		g.slots[src.Name] = slot
 		g.order = append(g.order, slot)
 	}
+	g.byName = slices.Clone(g.order)
+	slices.SortFunc(g.byName, func(a, b *sourceSlot) int { return strings.Compare(a.cfg.Name, b.cfg.Name) })
 	return g, nil
 }
 

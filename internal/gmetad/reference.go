@@ -62,7 +62,7 @@ func (g *Gmetad) ReferenceReport(q *query.Query) (*gxml.Report, error) {
 	case 0:
 		g.fillHealth(self)
 		if q.Filter == query.FilterSummary {
-			self.Summary = g.treeSummary()
+			self.Summary = g.Summary()
 			return rep, nil
 		}
 		g.fillRoot(self)

@@ -254,7 +254,7 @@ func (g *Gmetad) renderRoot(summaryFilter bool) ([]byte, error) {
 		var buf bytes.Buffer
 		w := gxml.NewWriter(&buf)
 		g.renderHealth(w)
-		w.SummaryBody(g.treeSummary())
+		w.SummaryBody(g.Summary())
 		return buf.Bytes(), w.Flush()
 	}
 

@@ -61,32 +61,25 @@ func collectHealth(slots []*sourceSlot) []*gxml.SourceHealth {
 	return out
 }
 
-// treeSummary returns the whole-tree reduction: the O(m) answer this
-// node gives its own parent in the N-level design. In N-level mode it
-// is maintained incrementally — each snapshot publish folds its delta
-// into the tracker — so a query reads a shared immutable total instead
-// of re-merging every source. One-level mode keeps the legacy scratch
-// merge (the mode exists to measure the legacy design's costs, and its
-// sources skip poll-time summarization, so there is no per-source
-// reduction to track). The returned summary is shared; callers must
-// not modify it.
-func (g *Gmetad) treeSummary() *summary.Summary {
-	if g.tracker != nil {
-		return g.tracker.Total()
-	}
+// Summary returns the whole-tree reduction: the O(m) answer this node
+// gives its own parent in the N-level design. It folds each source's
+// current reduction in source-name order on every call, so the SUM
+// digits are a function of the current snapshots alone — not of the
+// order or history of their publishes, nor of the configured source
+// order. The response cache keeps the rendered summary answer for the
+// rest of the epoch, so a parent polling once a round costs one fold.
+// In 1-level mode, whose sources skip poll-time summarization, each
+// source's reduction is computed here. The returned summary is new and
+// belongs to the caller.
+func (g *Gmetad) Summary() *summary.Summary {
 	total := summary.New()
-	for _, slot := range g.order {
-		data, _ := slot.snapshot()
-		if data != nil {
+	for _, slot := range g.byName {
+		if data, _ := slot.snapshot(); data != nil {
 			total.Merge(data.summaryOf())
 		}
 	}
 	return total
 }
-
-// Summary exposes the whole-tree reduction for tools and tests. The
-// returned summary is the caller's to keep.
-func (g *Gmetad) Summary() *summary.Summary { return g.treeSummary().Clone() }
 
 // findCluster resolves a cluster name through the per-source flattened
 // indexes, in source order.

@@ -171,9 +171,9 @@ func (g *Gmetad) ingest(slot *sourceSlot, addr string, memo *hostMemo, doc []byt
 // subscription link apply state through the same door, so health,
 // breaker and failover semantics cannot diverge between them: the
 // slate is cleared (address backoff, breaker streak, stretched
-// cadence), the summary delta is published off the slot lock, and the
-// epoch bump retires stale cached responses. Nothing is rendered here:
-// the snapshot's first reader builds its fragment.
+// cadence) and the epoch bump retires stale cached responses. Nothing
+// is rendered or folded here: the snapshot's first reader builds its
+// fragment, and the grid summary is folded when it is read.
 func (g *Gmetad) publishData(slot *sourceSlot, addr string, data *sourceData, now time.Time) {
 	slot.mu.Lock()
 	slot.install(data)
@@ -205,12 +205,10 @@ func (g *Gmetad) publishData(slot *sourceSlot, addr string, data *sourceData, no
 		g.acct.failovers.Add(1)
 	}
 
-	// Fold the snapshot's summary delta into the tree tracker, off the
-	// slot lock. The new snapshot is then visible; retire every cached
-	// response built from the previous epoch. Ordering matters: publish
-	// first, bump second, so a query that observes the new epoch always
-	// renders from (at least) the new snapshot.
-	g.publishSummary(slot, data)
+	// The new snapshot is visible; retire every cached response built
+	// from the previous epoch. Ordering matters: install first, bump
+	// second, so a query that observes the new epoch always renders (and
+	// folds the grid summary) from at least the new snapshot.
 	g.bumpEpoch()
 	g.emitFabricSamples(data, now)
 
@@ -221,15 +219,6 @@ func (g *Gmetad) publishData(slot *sourceSlot, addr string, data *sourceData, no
 		g.logf("source %s recovered via %s after %v down", slot.cfg.Name, addr, wasDown)
 	} else if movedFrom != "" {
 		g.logf("source %s failed over %s -> %s", slot.cfg.Name, movedFrom, addr)
-	}
-}
-
-// publishSummary completes a snapshot publication off the slot lock: in
-// N-level mode the snapshot's reduction is folded into the incremental
-// tree summary, which rejects stale generations on its own.
-func (g *Gmetad) publishSummary(slot *sourceSlot, data *sourceData) {
-	if g.tracker != nil {
-		g.tracker.Publish(slot.cfg.Name, data.epoch, data.summaryOf())
 	}
 }
 
@@ -259,7 +248,6 @@ func (g *Gmetad) reAge(slot *sourceSlot, now time.Time) {
 	slot.install(&aged)
 	slot.mu.Unlock()
 
-	g.publishSummary(slot, &aged)
 	g.bumpEpoch()
 }
 

@@ -136,8 +136,8 @@ func fragmentGens(b []byte) map[string]bool {
 
 // TestZeroCopyStress races pollers (including failure-driven re-aging
 // republishes) against query traffic and asserts no response ever
-// observes a fragment or tree-summary delta from a withdrawn snapshot
-// generation. Readers of every kind — depth-0 and depth-1 answers, the
+// observes a fragment or a tree-summary contribution from a withdrawn
+// snapshot generation. Readers of every kind — depth-0 and depth-1 answers, the
 // stream feed's capture, direct fragment reads — race each other to be
 // the first reader of every fresh snapshot: all of them must get the
 // one fragment built for it, untorn and identical to a cold render. Run
@@ -173,8 +173,8 @@ func TestZeroCopyStress(t *testing.T) {
 	var pollerWG, querierWG sync.WaitGroup
 
 	// Poller: republishes generations as fast as it can, with periodic
-	// failure windows on alpha so re-aged (shallow-copy) snapshots and
-	// same-pointer tracker republishes are part of the mix.
+	// failure windows on alpha so re-aged (shallow-copy) snapshots,
+	// which share their predecessor's reduction, are part of the mix.
 	pollerWG.Add(1)
 	go func() {
 		defer pollerWG.Done()
@@ -222,8 +222,8 @@ func TestZeroCopyStress(t *testing.T) {
 				}
 				if m := sum.Metrics["gen_val"]; m != nil {
 					// Each live source contributes hosts × (one whole
-					// generation); a torn tracker delta breaks the
-					// divisibility.
+					// generation); a fold that mixed two generations of
+					// one source's reduction breaks the divisibility.
 					if rem := math.Mod(m.Sum, hosts); rem != 0 {
 						errc <- fmt.Errorf("querier %d: torn tree summary: gen_val sum %v not a multiple of %d hosts",
 							w, m.Sum, hosts)

@@ -130,33 +130,6 @@ func (s *Summary) Merge(o *Summary) {
 	}
 }
 
-// Unmerge subtracts a previously merged summary — the delta operation
-// behind the incremental whole-tree reduction: when a source republishes,
-// its old contribution is unmerged and its new one merged, so the total
-// is maintained in O(m) per publish instead of O(sources·m) per query.
-// A metric whose set size reaches zero is deleted; sums are additive, so
-// unmerging what was merged restores the total up to floating-point
-// rounding (the Tracker rebases periodically to bound that drift).
-func (s *Summary) Unmerge(o *Summary) {
-	if o == nil {
-		return
-	}
-	s.HostsUp -= o.HostsUp
-	s.HostsDown -= o.HostsDown
-	for name, m := range o.Metrics {
-		sm := s.Metrics[name]
-		if sm == nil {
-			continue
-		}
-		sm.Sum -= m.Sum
-		sm.SumSq -= m.SumSq
-		sm.Num -= m.Num
-		if sm.Num == 0 {
-			delete(s.Metrics, name)
-		}
-	}
-}
-
 // Clone returns a deep copy, used to publish an immutable snapshot to
 // the query engine while the summarizer keeps mutating its working set.
 func (s *Summary) Clone() *Summary {

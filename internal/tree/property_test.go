@@ -1,15 +1,22 @@
 package tree
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"ganglia/internal/clock"
 	"ganglia/internal/gmetad"
+	"ganglia/internal/gxml"
 	"ganglia/internal/query"
+	"ganglia/internal/summary"
 )
 
 // randomTopology builds a random valid monitoring tree: up to maxNodes
@@ -45,11 +52,54 @@ func randomTopology(rng *rand.Rand, maxNodes int) *Topology {
 	return topo
 }
 
+// foldTopology is the oracle for the root's summary at one instant. It
+// mirrors the tree: at each node it folds the node's sources (clusters
+// and child nodes) in name order; a leaf cluster's reduction comes from
+// its emulator's report for that instant as it reads on the wire, hosts
+// in name order; a child node's comes from the recursive fold.
+func foldTopology(inst *Instance, name string, now time.Time) (*summary.Summary, error) {
+	node := inst.Topo.node(name)
+	parts := map[string]*summary.Summary{}
+	for _, cs := range node.Clusters {
+		var buf bytes.Buffer
+		if err := gxml.WriteReport(&buf, inst.Pseudos[cs.Name].Report(now)); err != nil {
+			return nil, err
+		}
+		rep, err := gxml.Parse(&buf)
+		if err != nil {
+			return nil, err
+		}
+		c := rep.Clusters[0]
+		slices.SortFunc(c.Hosts, func(a, b *gxml.Host) int { return strings.Compare(a.Name, b.Name) })
+		parts[cs.Name] = c.Summarize()
+	}
+	for _, child := range node.Children {
+		s, err := foldTopology(inst, child, now)
+		if err != nil {
+			return nil, err
+		}
+		parts[child] = s
+	}
+	names := make([]string, 0, len(parts))
+	for n := range parts {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	total := summary.New()
+	for _, n := range names {
+		total.Merge(parts[n])
+	}
+	return total, nil
+}
+
 // TestQuickHostConservation is the core invariant of the summary
 // hierarchy: for any tree shape, the root's merged summary accounts for
 // exactly every host in the forest — additive reductions neither lose
 // nor double-count hosts as they compose up arbitrary numbers of
-// levels.
+// levels. After several rounds, every root SUM and NUM must equal, bit
+// for bit, the fold of the leaves' reports for the last instant: the
+// root summary is a function of the current data, not of the rounds
+// before it.
 func TestQuickHostConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -66,11 +116,31 @@ func TestQuickHostConservation(t *testing.T) {
 		}
 		defer inst.Close()
 		inst.PollRound(clk.Now())
-		got := int(inst.Root().Summary().Hosts())
-		want := topo.HostCount()
-		if got != want {
+		for round := 1; round < 5; round++ {
+			inst.PollRound(clk.Advance(15 * time.Second))
+		}
+		root := inst.Root().Summary()
+		if got, want := int(root.Hosts()), topo.HostCount(); got != want {
 			t.Logf("seed %d: root sees %d hosts, topology has %d", seed, got, want)
 			return false
+		}
+		want, err := foldTopology(inst, topo.Root, clk.Now())
+		if err != nil {
+			t.Logf("seed %d: oracle: %v", seed, err)
+			return false
+		}
+		if root.HostsUp != want.HostsUp || root.HostsDown != want.HostsDown ||
+			len(root.Metrics) != len(want.Metrics) {
+			t.Logf("seed %d: root has %d/%d hosts and %d metrics, the fold %d/%d and %d",
+				seed, root.HostsUp, root.HostsDown, len(root.Metrics), want.HostsUp, want.HostsDown, len(want.Metrics))
+			return false
+		}
+		for name, wm := range want.Metrics {
+			gm := root.Metrics[name]
+			if gm == nil || gm.Num != wm.Num || math.Float64bits(gm.Sum) != math.Float64bits(wm.Sum) {
+				t.Logf("seed %d: root %s = %+v, the fold has SUM %v NUM %d", seed, name, gm, wm.Sum, wm.Num)
+				return false
+			}
 		}
 		return true
 	}
