@@ -204,7 +204,8 @@ func TestCSVEmitters(t *testing.T) {
 func TestFidelityHelpers(t *testing.T) {
 	// 10 hosts of 30 metrics at ~130 B a metric: half a metric per host
 	// is ~65 B a host, 650 B a round.
-	side := FidelitySide{Work: 10 * time.Millisecond, Bytes: 40_000, HostsParsed: 10, Metrics: 30, Series: 310}
+	side := FidelitySide{Work: 10 * time.Millisecond, Bytes: 40_000, HostsParsed: 10, Metrics: 30, Series: 310, Archivable: 310,
+		Written: []uint64{310, 310}, Rejected: []uint64{0, 0}}
 	r := &FidelityResult{Config: FidelityConfig{Hosts: 10, Rounds: 1}, Pseudo: side, Real: side}
 	r.Pseudo.Bytes += 160 // value text differs
 	r.Pseudo.Work *= 3    // wall clock is printed, never gated
@@ -216,6 +217,7 @@ func TestFidelityHelpers(t *testing.T) {
 	// series, and a METRIC element per host fewer bytes.
 	dropped := *r
 	dropped.Pseudo.Metrics, dropped.Pseudo.Series, dropped.Pseudo.Bytes = 29, 300, 40_000-10*130
+	dropped.Pseudo.Archivable, dropped.Pseudo.Written = 300, []uint64{300, 300}
 	if errs := dropped.ShapeErrors(); len(errs) != 3 {
 		t.Errorf("dropped metric: errors = %v, want metrics, series and bytes", errs)
 	}
@@ -231,6 +233,32 @@ func TestFidelityHelpers(t *testing.T) {
 	frozen.Pseudo.HostsParsed, frozen.Pseudo.HostsReused = 0, 10
 	if errs := frozen.ShapeErrors(); len(errs) != 2 {
 		t.Errorf("reused hosts: errors = %v, want parsed and reused", errs)
+	}
+
+	// An archive door that loses a host's last sample in one round, and
+	// one that refuses samples.
+	skipped := *r
+	skipped.Real.Written = []uint64{310, 300}
+	if errs := skipped.ShapeErrors(); len(errs) != 1 {
+		t.Errorf("skipped archive samples: errors = %v, want one round", errs)
+	}
+	// One that never creates a series the report carries: the written
+	// samples match the series, but not what the gmetad serves.
+	unseen := *r
+	unseen.Pseudo.Series, unseen.Real.Series = 300, 300
+	unseen.Pseudo.Written, unseen.Real.Written = []uint64{300, 300}, []uint64{300, 300}
+	if errs := unseen.ShapeErrors(); len(errs) != 2 {
+		t.Errorf("series never created: errors = %v, want one per side", errs)
+	}
+	refused := *r
+	refused.Pseudo.Rejected = []uint64{10, 10}
+	if errs := refused.ShapeErrors(); len(errs) != 2 {
+		t.Errorf("rejected archive samples: errors = %v, want both rounds", errs)
+	}
+	unmeasured := *r
+	unmeasured.Real.Written, unmeasured.Real.Rejected = nil, nil
+	if errs := unmeasured.ShapeErrors(); len(errs) != 1 {
+		t.Errorf("no archive rounds: errors = %v, want one", errs)
 	}
 
 	empty := &FidelityResult{}

@@ -63,8 +63,14 @@ type FidelitySide struct {
 	// Metrics is the METRIC element count per host of the cluster the
 	// gmetad serves after the run.
 	Metrics float64
-	// Series is the number of archived series after the run.
-	Series int
+	// Series is the number of archived series after the run, and
+	// Archivable the number the archive contract asks for: the numeric
+	// METRIC elements the gmetad serves after the run plus the metrics
+	// of the cluster's summary.
+	Series, Archivable int
+	// Written and Rejected are the archive samples the pool accepted
+	// and refused in each measured round (Pool.Stats deltas).
+	Written, Rejected []uint64
 }
 
 // RunFidelity measures both backends.
@@ -89,27 +95,34 @@ func RunFidelity(cfg FidelityConfig) (*FidelityResult, error) {
 			return FidelitySide{}, err
 		}
 		defer g.Close()
-		run := func(rounds int) {
-			for i := 0; i < rounds; i++ {
-				now := clk.Advance(15 * time.Second)
-				if step != nil {
-					step(now)
-				}
-				g.PollOnce(now)
+		// round polls once and returns the archive samples the pool
+		// accepted and refused meanwhile.
+		round := func() (written, rejected uint64) {
+			now := clk.Advance(15 * time.Second)
+			if step != nil {
+				step(now)
 			}
+			up, rej := g.Pool().Stats()
+			g.PollOnce(now)
+			up2, rej2 := g.Pool().Stats()
+			return up2 - up, rej2 - rej
 		}
-		run(2) // warm-up
+		round() // warm-up
+		round()
 		before := g.Accounting().Snapshot()
-		run(cfg.Rounds)
+		var side FidelitySide
+		for i := 0; i < cfg.Rounds; i++ {
+			w, r := round()
+			side.Written = append(side.Written, w)
+			side.Rejected = append(side.Rejected, r)
+		}
 		d := g.Accounting().Snapshot().Sub(before)
 		n := int64(cfg.Rounds)
-		side := FidelitySide{
-			Work:        d.Work() / time.Duration(n),
-			Bytes:       d.BytesIn / n,
-			HostsParsed: float64(d.HostsParsed) / float64(n),
-			HostsReused: float64(d.HostsReused) / float64(n),
-			Series:      g.Pool().Len(),
-		}
+		side.Work = d.Work() / time.Duration(n)
+		side.Bytes = d.BytesIn / n
+		side.HostsParsed = float64(d.HostsParsed) / float64(n)
+		side.HostsReused = float64(d.HostsReused) / float64(n)
+		side.Series = g.Pool().Len()
 		rep, err := g.Report(query.MustParse("/c"))
 		if err != nil {
 			return FidelitySide{}, err
@@ -120,7 +133,13 @@ func RunFidelity(cfg FidelityConfig) (*FidelityResult, error) {
 				for _, h := range c.Hosts {
 					hosts++
 					metrics += len(h.Metrics)
+					for i := range h.Metrics {
+						if _, ok := h.Metrics[i].Val.Float64(); ok {
+							side.Archivable++
+						}
+					}
 				}
+				side.Archivable += len(c.Summarize().Metrics)
 			}
 		}
 		if hosts > 0 {
@@ -200,6 +219,9 @@ func RunFidelity(cfg FidelityConfig) (*FidelityResult, error) {
 //     bytes every round, so the gmetad pays the full parse for both);
 //   - the same schema: equal METRIC elements per host and equal
 //     archived series;
+//   - the archive contract: one series per numeric metric served and
+//     per summary metric, and every round writes one sample per series
+//     and the pool refuses none;
 //   - the same XML volume up to the values' text: the backends draw
 //     different values, never different elements, so the byte counts
 //     may differ by less than half a METRIC element per host. A
@@ -222,6 +244,22 @@ func (r *FidelityResult) ShapeErrors() []string {
 		if 100*s.side.HostsReused > s.side.HostsParsed+s.side.HostsReused {
 			errs = append(errs, fmt.Sprintf("%s: %.1f of %.1f hosts reused per round, want ≈ 0",
 				s.name, s.side.HostsReused, s.side.HostsParsed+s.side.HostsReused))
+		}
+		if s.side.Series != s.side.Archivable {
+			errs = append(errs, fmt.Sprintf("%s: %d series archived, want %d (numeric metrics served plus summary metrics)", s.name, s.side.Series, s.side.Archivable))
+		}
+		if len(s.side.Written) == 0 {
+			errs = append(errs, fmt.Sprintf("%s: no archive samples measured", s.name))
+		}
+		for i, w := range s.side.Written {
+			if w != uint64(s.side.Series) {
+				errs = append(errs, fmt.Sprintf("%s: round %d wrote %d archive samples, want one per series (%d)", s.name, i+1, w, s.side.Series))
+			}
+		}
+		for i, r := range s.side.Rejected {
+			if r != 0 {
+				errs = append(errs, fmt.Sprintf("%s: round %d had %d archive samples rejected, want 0", s.name, i+1, r))
+			}
 		}
 	}
 	if p.Metrics != q.Metrics {
@@ -250,11 +288,13 @@ func (r *FidelityResult) Table() string {
 			"  hosts per round:  pseudo %.1f parsed + %.1f reused, real %.1f parsed + %.1f reused\n"+
 			"  metrics per host: pseudo %.2f, real %.2f\n"+
 			"  series archived:  pseudo %d, real %d\n"+
+			"  archive samples:  pseudo %v written, %v rejected; real %v written, %v rejected (per round)\n"+
 			"  gmetad work:      pseudo %v/round, real %v/round (wall clock, not gated)\n",
 		r.Config.Hosts, r.Config.Rounds,
 		p.Bytes, q.Bytes,
 		p.HostsParsed, p.HostsReused, q.HostsParsed, q.HostsReused,
 		p.Metrics, q.Metrics,
 		p.Series, q.Series,
+		p.Written, p.Rejected, q.Written, q.Rejected,
 		p.Work, q.Work)
 }

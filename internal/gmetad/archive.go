@@ -3,7 +3,7 @@ package gmetad
 import (
 	"time"
 
-	"ganglia/internal/gxml"
+	"ganglia/internal/rrd"
 	"ganglia/internal/summary"
 )
 
@@ -23,89 +23,77 @@ const SummaryHost = "__summary__"
 //     summary series ("nodes in the N-level monitoring tree keep only
 //     summary archives of descendants rather than full duplicates",
 //     §3.3).
-func (g *Gmetad) archiveSource(data *sourceData, now time.Time) {
-	fullDetail := g.cfg.Mode == OneLevel || data.kind == SourceGmond
-	if fullDetail {
-		for _, cname := range data.clusterOrder {
-			c := data.clusters[cname]
-			for _, hname := range c.order {
-				g.archiveHost(cname, c.hosts[hname], now)
-			}
-			g.archiveSummary(cname, c.summary, now)
-		}
-	}
-	// The source-level summary series is kept in both designs: the
-	// 1-level web frontend recomputes it per page (Table 1), but the
-	// daemon still archives grid totals.
-	if data.kind == SourceGmetad {
-		g.archiveSummary(data.name, data.summary, now)
-	}
+//
+// Each host's samples go through the pool's write door in one call,
+// built in buf, which is returned for the caller to keep for its next
+// round.
+func (g *Gmetad) archiveSource(data *sourceData, buf []rrd.Sample, now time.Time) []rrd.Sample {
+	buf = g.archiveTree(data, buf, now, false)
 	g.syncArchiveContention()
-}
-
-// archiveHost writes one host's numeric metrics. A down host gets
-// explicit zero records — "if a monitored node has failed, it keeps a
-// 'zero' record during the downtime, aiding time-of-death forensic
-// analysis" (§2.1).
-func (g *Gmetad) archiveHost(cluster string, h *gxml.Host, now time.Time) {
-	up := h.Up()
-	for i := range h.Metrics {
-		m := &h.Metrics[i]
-		v, ok := m.Val.Float64()
-		if !ok {
-			continue // non-numeric metrics are not archived
-		}
-		if !up {
-			v = 0
-		}
-		// ErrPastUpdate is expected when two polls land within one
-		// archive step; the sample is simply coalesced away.
-		_ = g.pool.UpdateSeries(cluster, h.Name, m.Name, now, v)
-	}
-}
-
-// archiveSummary writes a reduction's SUM series under the
-// __summary__ pseudo-host.
-func (g *Gmetad) archiveSummary(scope string, s *summary.Summary, now time.Time) {
-	if s == nil {
-		return
-	}
-	for _, name := range s.Names() {
-		m := s.Metrics[name]
-		_ = g.pool.UpdateSeries(scope, SummaryHost, name, now, m.Sum)
-	}
+	return buf
 }
 
 // zeroFill writes zero records for every series a source feeds, used
-// while the source is unreachable.
-func (g *Gmetad) zeroFill(data *sourceData, now time.Time) {
+// while the source is unreachable; buf is as for archiveSource.
+func (g *Gmetad) zeroFill(data *sourceData, buf []rrd.Sample, now time.Time) []rrd.Sample {
+	return g.archiveTree(data, buf, now, true)
+}
+
+// archiveTree walks the series data feeds, writing each host's numeric
+// metrics (zero for every one when zero is set) and each reduction's
+// SUMs. A down host gets explicit zero records too — "if a monitored
+// node has failed, it keeps a 'zero' record during the downtime,
+// aiding time-of-death forensic analysis" (§2.1).
+func (g *Gmetad) archiveTree(data *sourceData, buf []rrd.Sample, now time.Time, zero bool) []rrd.Sample {
 	fullDetail := g.cfg.Mode == OneLevel || data.kind == SourceGmond
 	if fullDetail {
 		for _, cname := range data.clusterOrder {
 			c := data.clusters[cname]
 			for _, hname := range c.order {
 				h := c.hosts[hname]
+				down := zero || !h.Up()
+				buf = buf[:0]
 				for i := range h.Metrics {
 					m := &h.Metrics[i]
-					if _, ok := m.Val.Float64(); !ok {
-						continue
+					v, ok := m.Val.Float64()
+					if !ok {
+						continue // non-numeric metrics are not archived
 					}
-					_ = g.pool.UpdateSeries(cname, hname, m.Name, now, 0)
+					if down {
+						v = 0
+					}
+					buf = append(buf, rrd.Sample{Metric: m.Name, Value: v})
 				}
+				// ErrPastUpdate is expected when two polls land within
+				// one archive step; the samples are simply coalesced away.
+				_ = g.pool.UpdateHost(cname, hname, now, buf)
 			}
-			g.zeroFillSummary(cname, c.summary, now)
+			buf = g.archiveSummary(cname, c.summary, buf, now, zero)
 		}
 	}
+	// The source-level summary series is kept in both designs: the
+	// 1-level web frontend recomputes it per page (Table 1), but the
+	// daemon still archives grid totals.
 	if data.kind == SourceGmetad {
-		g.zeroFillSummary(data.name, data.summary, now)
+		buf = g.archiveSummary(data.name, data.summary, buf, now, zero)
 	}
+	return buf
 }
 
-func (g *Gmetad) zeroFillSummary(scope string, s *summary.Summary, now time.Time) {
+// archiveSummary writes a reduction's SUM series (zeros when zero is
+// set) under the __summary__ pseudo-host.
+func (g *Gmetad) archiveSummary(scope string, s *summary.Summary, buf []rrd.Sample, now time.Time, zero bool) []rrd.Sample {
 	if s == nil {
-		return
+		return buf
 	}
+	buf = buf[:0]
 	for _, name := range s.Names() {
-		_ = g.pool.UpdateSeries(scope, SummaryHost, name, now, 0)
+		var v float64
+		if !zero {
+			v = s.Metrics[name].Sum
+		}
+		buf = append(buf, rrd.Sample{Metric: name, Value: v})
 	}
+	_ = g.pool.UpdateHost(scope, SummaryHost, now, buf)
+	return buf
 }

@@ -57,7 +57,7 @@ func (g *Gmetad) breakerDefers(slot *sourceSlot, now time.Time) bool {
 	g.reAge(slot, now)
 	if g.pool != nil && data != nil {
 		timed(&g.acct.archive, func() {
-			g.zeroFill(data, now)
+			slot.memo.samples = g.zeroFill(data, slot.memo.samples, now)
 		})
 	}
 	return true
@@ -159,7 +159,7 @@ func (g *Gmetad) ingest(slot *sourceSlot, addr string, memo *hostMemo, doc []byt
 	})
 	if g.pool != nil {
 		timed(&g.acct.archive, func() {
-			g.archiveSource(data, now)
+			memo.samples = g.archiveSource(data, memo.samples, now)
 		})
 	}
 	g.publishData(slot, addr, data, now)
@@ -400,7 +400,7 @@ func (g *Gmetad) sourceFailed(slot *sourceSlot, now time.Time, err error) {
 		return
 	}
 	timed(&g.acct.archive, func() {
-		g.zeroFill(data, now)
+		slot.memo.samples = g.zeroFill(data, slot.memo.samples, now)
 	})
 }
 

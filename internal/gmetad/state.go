@@ -10,6 +10,7 @@ import (
 
 	"ganglia/internal/gxml"
 	"ganglia/internal/metric"
+	"ganglia/internal/rrd"
 	"ganglia/internal/summary"
 )
 
@@ -90,6 +91,9 @@ type hostMemo struct {
 	// spare is the report buffer doc replaced, free for the next
 	// download or reassembly, so a link ingests without allocating.
 	spare []byte
+	// samples is the archive buffer, reused host to host and round to
+	// round for one host's samples at a time.
+	samples []rrd.Sample
 }
 
 // memoHost is one remembered HOST element.

@@ -29,6 +29,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("/?filter=bogus")
 	f.Add("?filter=summary")
 	f.Add("/\x00/\xff")
+	f.Add("/a\u00a0/b\u2005")
 
 	f.Fuzz(func(t *testing.T, line string) {
 		q, err := Parse(line)
@@ -60,7 +61,7 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("converged query identity unstable: %q (from %q)", q2.String(), line)
 		}
 		// The key must dedup the spellings the wire protocol produces.
-		for _, variant := range []string{line + "\n", " " + line + " ", strings.TrimSpace(line)} {
+		for _, variant := range []string{line + "\n", " " + line + " ", strings.Trim(line, wireSpace)} {
 			v, err := Parse(variant)
 			if err != nil {
 				continue

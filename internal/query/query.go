@@ -183,12 +183,18 @@ var (
 	ErrDupParam  = errors.New("query: duplicate parameter")
 )
 
+// wireSpace is the line protocol's whitespace: what a client's line may
+// carry around the query, the trailing newline included. Unicode spaces
+// are not in it: they can be part of a name, and trimming them would
+// change the name a segment matches.
+const wireSpace = " \t\r\n"
+
 // Parse parses a query line as received on gmetad's interactive port.
-// Whitespace (including the trailing newline of the wire protocol) is
-// trimmed.
+// The wire protocol's ASCII whitespace (including the trailing
+// newline) is trimmed.
 func Parse(s string) (*Query, error) {
 	raw := s
-	s = strings.TrimSpace(s)
+	s = strings.Trim(s, wireSpace)
 	if s == "" {
 		return nil, ErrEmpty
 	}
@@ -215,7 +221,7 @@ func Parse(s string) (*Query, error) {
 		// A whitespace-only literal segment can never name a DOM node
 		// and cannot round-trip through the line protocol (its spaces
 		// are trimmed at the line ends); reject it as empty.
-		if strings.TrimSpace(seg) == "" {
+		if strings.Trim(seg, wireSpace) == "" {
 			return nil, ErrEmptySeg
 		}
 		if len(q.Segments) == MaxDepth {

@@ -243,6 +243,31 @@ func TestQuickLiteralRoundTrip(t *testing.T) {
 	}
 }
 
+// Unicode spaces belong to names: only the wire protocol's ASCII
+// whitespace is trimmed, so a literal segment ending in U+00A0 or
+// U+2005 matches itself and not the name without it.
+func TestParseKeepsUnicodeSpaces(t *testing.T) {
+	for _, sp := range []string{"\u00a0", "\u2005"} {
+		a, b := "compute"+sp, "load_one"+sp
+		q, err := Parse(" \t/" + a + "/" + b + "\r\n")
+		if err != nil {
+			t.Fatalf("%U: %v", []rune(sp)[0], err)
+		}
+		if q.Depth() != 2 || !q.Segments[0].Match(a) || !q.Segments[1].Match(b) {
+			t.Errorf("%U: %q does not match its own segments", []rune(sp)[0], q.String())
+		}
+		if q.Segments[0].Match("compute") || q.Segments[1].Match("load_one") {
+			t.Errorf("%U: segments match the names without the space", []rune(sp)[0])
+		}
+		if q, err := Parse("/" + sp); err != nil || q.Depth() != 1 || !q.Segments[0].Match(sp) {
+			t.Errorf("%U alone: Parse = %v, %v; want a one-segment literal", []rune(sp)[0], q, err)
+		}
+	}
+	if _, err := Parse("/a/ \t/b"); err != ErrEmptySeg {
+		t.Errorf("ASCII-blank segment: err = %v, want ErrEmptySeg", err)
+	}
+}
+
 func BenchmarkParseTypical(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

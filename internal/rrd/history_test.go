@@ -473,9 +473,7 @@ func TestLegacyGobSnapshotRestores(t *testing.T) {
 	p := legacyTestPool(t)
 	legacy := legacyPoolSnapshot{Version: persistVersion, Spec: p.spec, DBs: make(map[string]legacyDBSnapshot)}
 	for _, s := range p.shards {
-		for k, db := range s.dbs {
-			legacy.DBs[k.String()] = legacyOf(db)
-		}
+		s.each(func(key string, db *Database) { legacy.DBs[key] = legacyOf(db) })
 		legacy.Updates += s.updates
 		legacy.Errors += s.errors
 	}
@@ -511,9 +509,9 @@ func TestLegacyFramedSnapshotRestores(t *testing.T) {
 	var dbs []legacyFileDB
 	meta := snapFileMeta{Version: persistVersion, Spec: p.spec}
 	for _, s := range p.shards {
-		for k, db := range s.dbs {
-			dbs = append(dbs, legacyFileDB{Key: k.String(), DB: legacyOf(db)})
-		}
+		s.each(func(key string, db *Database) {
+			dbs = append(dbs, legacyFileDB{Key: key, DB: legacyOf(db)})
+		})
 		meta.Updates += s.updates
 		meta.Errors += s.errors
 	}

@@ -9,9 +9,12 @@ import (
 // a million private copies of a few hundred distinct cluster, host and
 // metric names ("load_one" appears once per host, every host name once
 // per metric). The intern table maps every component to one shared
-// canonical string, so a series key is three string headers over shared
-// backing arrays — the storage-side half of making the archive store
-// viable at the radiotelescope regime of few names × many samples.
+// canonical string, so a host row's key and its metric names are
+// string headers over shared backing arrays — the storage-side half of
+// making the archive store viable at the radiotelescope regime of few
+// names × many samples. Names are interned when a row or series is
+// created, never on a lookup, so queries for unknown names leave the
+// table as it was.
 
 // internTable deduplicates name strings. It is shared by all of a
 // pool's shards: names cross shard boundaries (the same metric lives in
@@ -22,26 +25,19 @@ type internTable struct {
 	m  map[string]string
 }
 
-// intern3 canonicalizes three name components in one lock round trip —
-// the common case (a key lookup on a warm pool) takes a single RLock.
-func (t *internTable) intern3(a, b, c string) (string, string, string) {
+// intern returns the canonical copy of s, cloning on first sight: the
+// argument may be a substring of a larger buffer (a key split into
+// components, a name in a parsed report), and storing it verbatim
+// would pin that whole buffer.
+func (t *internTable) intern(s string) string {
 	t.mu.RLock()
-	ia, oka := t.m[a]
-	ib, okb := t.m[b]
-	ic, okc := t.m[c]
+	i, ok := t.m[s]
 	t.mu.RUnlock()
-	if oka && okb && okc {
-		return ia, ib, ic
+	if ok {
+		return i
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.internLocked(a), t.internLocked(b), t.internLocked(c)
-}
-
-// internLocked returns the canonical copy of s, cloning on first sight:
-// the argument may be a substring of a larger buffer (a key split into
-// components), and storing it verbatim would pin that whole buffer.
-func (t *internTable) internLocked(s string) string {
 	if i, ok := t.m[s]; ok {
 		return i
 	}
@@ -60,43 +56,45 @@ func (t *internTable) len() int {
 	return len(t.m)
 }
 
-// seriesKey is one series' identity: interned cluster/host/metric name
-// components plus the original segment count, so arbitrary slash keys
-// (including the degenerate single-segment keys unit tests use) round
-// trip exactly through String.
-type seriesKey struct {
-	cluster, host, metric string
-	depth                 uint8
+// hostKey is one host row's identity: the cluster and host components
+// of its series' slash keys plus their segment count, so arbitrary
+// keys (including the degenerate single-segment keys unit tests use)
+// round trip exactly through seriesKey. A depth-1 or depth-2 key's row
+// holds one series, under the empty metric name.
+type hostKey struct {
+	cluster, host string
+	depth         uint8
 }
 
-// splitKey decomposes a slash key into at most three components; a key
-// with more than two slashes keeps the tail in the metric component.
-func splitKey(key string) (cluster, host, metric string, depth uint8) {
-	cluster, depth = key, 1
+// splitKey decomposes a slash key into its row and metric; a key with
+// more than two slashes keeps the tail in the metric.
+func splitKey(key string) (k hostKey, metric string) {
+	k = hostKey{cluster: key, depth: 1}
 	if i := strings.IndexByte(key, '/'); i >= 0 {
-		cluster, host, depth = key[:i], key[i+1:], 2
-		if j := strings.IndexByte(host, '/'); j >= 0 {
-			host, metric, depth = host[:j], host[j+1:], 3
+		k = hostKey{cluster: key[:i], host: key[i+1:], depth: 2}
+		if j := strings.IndexByte(k.host, '/'); j >= 0 {
+			k.host, metric, k.depth = k.host[:j], k.host[j+1:], 3
 		}
 	}
-	return
+	return k, metric
 }
 
-// String reassembles the slash key.
-func (k seriesKey) String() string {
+// seriesKey reassembles the slash key of the row's series metric.
+func (k hostKey) seriesKey(metric string) string {
 	switch k.depth {
 	case 1:
 		return k.cluster
 	case 2:
 		return k.cluster + "/" + k.host
 	}
-	return k.cluster + "/" + k.host + "/" + k.metric
+	return k.cluster + "/" + k.host + "/" + metric
 }
 
-// hash is FNV-1a over the components with separators, the shard
-// selector. It must agree for every spelling of the same series, so it
-// hashes the components rather than the original key string.
-func (k seriesKey) hash() uint32 {
+// hash is FNV-1a over the cluster and host with separators, the shard
+// selector. The metric is left out: all of a host's series share one
+// shard, so one lock round trip writes the whole host, while hosts
+// still spread across the shards.
+func (k hostKey) hash() uint32 {
 	const prime = 16777619
 	h := uint32(2166136261)
 	mix := func(s string) {
@@ -109,7 +107,6 @@ func (k seriesKey) hash() uint32 {
 	}
 	mix(k.cluster)
 	mix(k.host)
-	mix(k.metric)
 	h ^= uint32(k.depth)
 	h *= prime
 	return h

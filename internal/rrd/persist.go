@@ -159,9 +159,7 @@ func (p *Pool) snapshotAll() poolSnapshot {
 	}
 	for _, s := range p.shards {
 		s.lock()
-		for k, db := range s.dbs {
-			snap.DBs[k.String()] = db.snapshot()
-		}
+		s.each(func(key string, db *Database) { snap.DBs[key] = db.snapshot() })
 		snap.Updates += s.updates
 		snap.Errors += s.errors
 		s.mu.Unlock()
@@ -197,8 +195,7 @@ func LoadPool(r io.Reader) (*Pool, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rrd: restore %q: %w", k, err)
 		}
-		sk := p.keyOf(k)
-		p.shardOf(sk).dbs[sk] = db
+		p.install(k, db) // map keys are distinct, so no key repeats
 	}
 	return p, nil
 }

@@ -13,12 +13,43 @@ import (
 // stays negligible.
 const DefaultShards = 16
 
-// poolShard is one independently locked slice of the key space.
+// Sample is one metric's value in a host's report: the unit of
+// UpdateHost.
+type Sample struct {
+	Metric string
+	Value  float64
+}
+
+// hostRow holds one host's series in first-seen order. A host reports
+// its metrics in the same order round after round, so the write door
+// finds each series by comparing one name at the position the row
+// expects, not by a lookup.
+type hostRow struct {
+	series []rowSeries
+}
+
+// rowSeries is one series of a host row; metric is interned.
+type rowSeries struct {
+	metric string
+	db     *Database
+}
+
+// find returns the index of metric's series in the row, or -1.
+func (r *hostRow) find(metric string) int {
+	for i := range r.series {
+		if r.series[i].metric == metric {
+			return i
+		}
+	}
+	return -1
+}
+
+// poolShard is one independently locked slice of the host rows.
 type poolShard struct {
 	mu      sync.Mutex
-	dbs     map[seriesKey]*Database
-	updates uint64 // guarded by mu
-	errors  uint64 // guarded by mu
+	rows    map[hostKey]*hostRow // every row holds at least one series
+	updates uint64               // guarded by mu
+	errors  uint64               // guarded by mu
 
 	// Lock-wait hints: TryLock succeeds silently on the (overwhelmingly
 	// common) uncontended path, so the wall-clock reads below are paid
@@ -39,18 +70,45 @@ func (s *poolShard) lock() {
 	s.waitNS.Add(int64(time.Since(start))) //lint:allow clock shard-lock wait hints measure real contention even under a virtual clock
 }
 
-// Pool manages the databases of one gmetad: one per archived series,
-// keyed by a slash path such as "Meteor/compute-0-0/load_one" for host
-// metrics or "Meteor/__summary__/load_one" for cluster summaries.
+// len counts the shard's series. s.mu must be held.
+func (s *poolShard) len() int {
+	n := 0
+	for _, row := range s.rows {
+		n += len(row.series)
+	}
+	return n
+}
+
+// each calls f with every series' slash key and database. s.mu must be
+// held.
+func (s *poolShard) each(f func(key string, db *Database)) {
+	for k, row := range s.rows {
+		for _, rs := range row.series {
+			f(k.seriesKey(rs.metric), rs.db)
+		}
+	}
+}
+
+// Pool manages the databases of one gmetad, one per archived series.
+// A series is named by cluster, host and metric ("Meteor",
+// "compute-0-0", "load_one"; cluster summaries use the "__summary__"
+// pseudo-host), and its slash key "Meteor/compute-0-0/load_one" spells
+// the same name for the key-addressed calls.
 //
-// Pool is safe for concurrent use. The key space is sharded by hash
-// across independently locked shards, so history fetches on the serve
-// path stop contending with the poll loop's archive updates — the
-// paper's §4 "too many updates to the file-based databases" burden,
-// isolated per shard instead of behind one global lock. Name components
-// are interned in a shared table (see intern.go), and per-shard update
-// counters feed the work accounting that stands in for %CPU in the
-// experiments.
+// The index is host-shaped: each host owns one row of its series in
+// first-seen order, on the shard its cluster and host names hash to.
+// UpdateHost is the one write door: a host's report costs one shard
+// lock and one row lookup, and each sample then only compares its name
+// with the one the row holds at the same position — the paper's §4
+// "too many updates to the file-based databases" burden, paid per host
+// instead of per sample. Update and UpdateSeries are one-sample calls
+// into the same door.
+//
+// Pool is safe for concurrent use. The independently locked shards let
+// history fetches on the serve path proceed beside the poll loop's
+// archive writes. Name components are interned in a shared table (see
+// intern.go), and per-shard update counters feed the work accounting
+// that stands in for %CPU in the experiments.
 type Pool struct {
 	spec   Spec
 	names  internTable
@@ -69,110 +127,148 @@ func NewPoolShards(spec Spec, n int) *Pool {
 	}
 	p := &Pool{spec: spec, shards: make([]*poolShard, n)}
 	for i := range p.shards {
-		p.shards[i] = &poolShard{dbs: make(map[seriesKey]*Database)}
+		p.shards[i] = &poolShard{rows: make(map[hostKey]*hostRow)}
 	}
 	return p
 }
 
-// keyOf interns a slash key's components into a series key.
-func (p *Pool) keyOf(key string) seriesKey {
-	c, h, m, d := splitKey(key)
-	c, h, m = p.names.intern3(c, h, m)
-	return seriesKey{cluster: c, host: h, metric: m, depth: d}
-}
-
-// shardOf selects the shard owning k.
-func (p *Pool) shardOf(k seriesKey) *poolShard {
+// shardOf selects the shard owning the row at k.
+func (p *Pool) shardOf(k hostKey) *poolShard {
 	return p.shards[int(k.hash())%len(p.shards)]
 }
 
 // Update folds a sample into the series at key, creating the database
-// on first use.
+// on first use: a one-sample UpdateHost addressed by slash key.
 func (p *Pool) Update(key string, t time.Time, v float64) error {
-	return p.update(p.keyOf(key), t, v)
+	k, metric := splitKey(key)
+	one := [1]Sample{{Metric: metric, Value: v}}
+	return p.updateRow(k, t, one[:])
 }
 
-// UpdateSeries is Update addressed by name components, skipping the
-// joined-key allocation on the poll hot path.
+// UpdateSeries folds a sample into one cluster/host/metric series: a
+// one-sample UpdateHost.
 func (p *Pool) UpdateSeries(cluster, host, metric string, t time.Time, v float64) error {
-	c, h, m := p.names.intern3(cluster, host, metric)
-	return p.update(seriesKey{cluster: c, host: h, metric: m, depth: 3}, t, v)
+	one := [1]Sample{{Metric: metric, Value: v}}
+	return p.UpdateHost(cluster, host, t, one[:])
 }
 
-func (p *Pool) update(k seriesKey, t time.Time, v float64) error {
+// UpdateHost folds one host's samples at instant t into its series,
+// creating databases on first use. Every sample is offered on its own
+// (rejected ones are counted in Stats like any other) and the first
+// rejection is returned: ErrPastUpdate when the instant was already
+// written, which is routine when two ingests land within one step.
+// samples is only read; the caller may reuse it at once.
+func (p *Pool) UpdateHost(cluster, host string, t time.Time, samples []Sample) error {
+	return p.updateRow(hostKey{cluster: cluster, host: host, depth: 3}, t, samples)
+}
+
+func (p *Pool) updateRow(k hostKey, t time.Time, samples []Sample) error {
 	s := p.shardOf(k)
 	s.lock()
 	defer s.mu.Unlock()
-	db := s.dbs[k]
-	if db == nil {
-		var err error
-		db, err = New(p.spec)
-		if err != nil {
-			return err
+	row := s.rows[k]
+	if row == nil {
+		row = &hostRow{} // entered into rows with its first series
+	}
+	var first error
+	next := 0 // where the row's order expects the next sample
+	for i := range samples {
+		sm := &samples[i]
+		j := next
+		if j >= len(row.series) || row.series[j].metric != sm.Metric {
+			if j = row.find(sm.Metric); j < 0 {
+				db, err := New(p.spec)
+				if err != nil {
+					if first == nil {
+						first = err
+					}
+					continue
+				}
+				if len(row.series) == 0 {
+					s.rows[hostKey{cluster: p.names.intern(k.cluster), host: p.names.intern(k.host), depth: k.depth}] = row
+				}
+				j = len(row.series)
+				row.series = append(row.series, rowSeries{metric: p.names.intern(sm.Metric), db: db})
+			}
 		}
-		s.dbs[k] = db
+		next = j + 1
+		if err := row.series[j].db.Update(t, sm.Value); err != nil {
+			s.errors++
+			if first == nil {
+				first = err
+			}
+			continue
+		}
+		s.updates++
 	}
-	if err := db.Update(t, v); err != nil {
-		s.errors++
-		return err
+	return first
+}
+
+// install enters a database restored from a snapshot under key,
+// reporting false when key already holds one. Restores build a pool
+// before anything else can reach it, so no lock is taken.
+func (p *Pool) install(key string, db *Database) bool {
+	k, metric := splitKey(key)
+	k.cluster, k.host = p.names.intern(k.cluster), p.names.intern(k.host)
+	s := p.shardOf(k)
+	row := s.rows[k]
+	if row == nil {
+		row = &hostRow{}
+		s.rows[k] = row
 	}
-	s.updates++
-	return nil
+	if row.find(metric) >= 0 {
+		return false
+	}
+	row.series = append(row.series, rowSeries{metric: p.names.intern(metric), db: db})
+	return true
+}
+
+// view runs f on the series metric of the row at k under its shard
+// lock, reporting whether the series exists.
+func (p *Pool) view(k hostKey, metric string, f func(*Database)) bool {
+	s := p.shardOf(k)
+	s.lock()
+	defer s.mu.Unlock()
+	row := s.rows[k]
+	if row == nil {
+		return false
+	}
+	i := row.find(metric)
+	if i < 0 {
+		return false
+	}
+	f(row.series[i].db)
+	return true
 }
 
 // Fetch queries the series at key; it returns nil for unknown keys.
-func (p *Pool) Fetch(key string, cf CF, start, end time.Time) []Point {
-	k := p.keyOf(key)
-	s := p.shardOf(k)
-	s.lock()
-	defer s.mu.Unlock()
-	db := s.dbs[k]
-	if db == nil {
-		return nil
-	}
-	return db.Fetch(cf, start, end)
+func (p *Pool) Fetch(key string, cf CF, start, end time.Time) (pts []Point) {
+	k, metric := splitKey(key)
+	p.view(k, metric, func(db *Database) { pts = db.Fetch(cf, start, end) })
+	return pts
 }
 
 // FetchRange queries the series at key with query-time consolidation to
 // step (see Database.FetchRange); nil for unknown keys.
-func (p *Pool) FetchRange(key string, cf CF, start, end time.Time, step time.Duration) []Point {
-	k := p.keyOf(key)
-	s := p.shardOf(k)
-	s.lock()
-	defer s.mu.Unlock()
-	db := s.dbs[k]
-	if db == nil {
-		return nil
-	}
-	return db.FetchRange(cf, start, end, step)
+func (p *Pool) FetchRange(key string, cf CF, start, end time.Time, step time.Duration) (pts []Point) {
+	k, metric := splitKey(key)
+	p.view(k, metric, func(db *Database) { pts = db.FetchRange(cf, start, end, step) })
+	return pts
 }
 
 // FetchRangeSeries is FetchRange addressed by name components.
-func (p *Pool) FetchRangeSeries(cluster, host, metric string, cf CF, start, end time.Time, step time.Duration) []Point {
-	c, h, m := p.names.intern3(cluster, host, metric)
-	k := seriesKey{cluster: c, host: h, metric: m, depth: 3}
-	s := p.shardOf(k)
-	s.lock()
-	defer s.mu.Unlock()
-	db := s.dbs[k]
-	if db == nil {
-		return nil
-	}
-	return db.FetchRange(cf, start, end, step)
+func (p *Pool) FetchRangeSeries(cluster, host, metric string, cf CF, start, end time.Time, step time.Duration) (pts []Point) {
+	k := hostKey{cluster: cluster, host: host, depth: 3}
+	p.view(k, metric, func(db *Database) { pts = db.FetchRange(cf, start, end, step) })
+	return pts
 }
 
 // FetchRecent returns the finest-resolution window for key; nil for
 // unknown keys.
-func (p *Pool) FetchRecent(key string, cf CF) []Point {
-	k := p.keyOf(key)
-	s := p.shardOf(k)
-	s.lock()
-	defer s.mu.Unlock()
-	db := s.dbs[k]
-	if db == nil {
-		return nil
-	}
-	return db.FetchRecent(cf)
+func (p *Pool) FetchRecent(key string, cf CF) (pts []Point) {
+	k, metric := splitKey(key)
+	p.view(k, metric, func(db *Database) { pts = db.FetchRecent(cf) })
+	return pts
 }
 
 // Last returns the most recent stored value for key. ok is false for
@@ -180,41 +276,32 @@ func (p *Pool) FetchRecent(key string, cf CF) []Point {
 // (known) sample — a freshly created database, or one whose every
 // consolidated row so far came out unknown, reports (0, false) until a
 // real value lands.
-func (p *Pool) Last(key string) (float64, bool) {
-	k := p.keyOf(key)
-	s := p.shardOf(k)
-	s.lock()
-	defer s.mu.Unlock()
-	db := s.dbs[k]
-	if db == nil || !db.known {
-		return 0, false
-	}
-	return db.Last(), true
+func (p *Pool) Last(key string) (v float64, ok bool) {
+	k, metric := splitKey(key)
+	p.view(k, metric, func(db *Database) {
+		if db.known {
+			v, ok = db.Last(), true
+		}
+	})
+	return v, ok
 }
 
 // HasSeries reports whether a cluster/host/metric series exists, without
 // touching its data — the existence probe behind "unknown series" vs
 // "known series, empty window" answers.
 func (p *Pool) HasSeries(cluster, host, metric string) bool {
-	c, h, m := p.names.intern3(cluster, host, metric)
-	k := seriesKey{cluster: c, host: h, metric: m, depth: 3}
-	s := p.shardOf(k)
-	s.lock()
-	defer s.mu.Unlock()
-	_, ok := s.dbs[k]
-	return ok
+	return p.view(hostKey{cluster: cluster, host: host, depth: 3}, metric, func(*Database) {})
 }
 
 // SeriesHosts returns the sorted host names that hold a series for
 // cluster/metric — the enumeration behind cross-host reductions such as
-// topk. Interning makes the scan's comparisons cheap: equal names share
-// a backing pointer.
+// topk.
 func (p *Pool) SeriesHosts(cluster, metric string) []string {
 	var hosts []string
 	for _, s := range p.shards {
 		s.lock()
-		for k := range s.dbs {
-			if k.depth == 3 && k.cluster == cluster && k.metric == metric {
+		for k, row := range s.rows {
+			if k.depth == 3 && k.cluster == cluster && row.find(metric) >= 0 {
 				hosts = append(hosts, k.host)
 			}
 		}
@@ -229,7 +316,7 @@ func (p *Pool) Len() int {
 	n := 0
 	for _, s := range p.shards {
 		s.lock()
-		n += len(s.dbs)
+		n += s.len()
 		s.mu.Unlock()
 	}
 	return n
@@ -240,9 +327,7 @@ func (p *Pool) Keys() []string {
 	var keys []string
 	for _, s := range p.shards {
 		s.lock()
-		for k := range s.dbs {
-			keys = append(keys, k.String())
-		}
+		s.each(func(key string, _ *Database) { keys = append(keys, key) })
 		s.mu.Unlock()
 	}
 	sort.Strings(keys)
@@ -277,7 +362,7 @@ func (p *Pool) ShardStats() []ShardStat {
 	for i, s := range p.shards {
 		s.lock()
 		out[i] = ShardStat{
-			Series:    len(s.dbs),
+			Series:    s.len(),
 			Updates:   s.updates,
 			Errors:    s.errors,
 			Contended: s.contended.Load(),

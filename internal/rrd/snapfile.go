@@ -150,9 +150,9 @@ func (p *Pool) WriteSnapshot(w io.Writer) error {
 	}
 	for _, s := range p.shards {
 		s.lock()
-		for k, db := range s.dbs {
-			dbs = append(dbs, snapFileDB{Key: k.String(), DB: db.snapshot()})
-		}
+		s.each(func(key string, db *Database) {
+			dbs = append(dbs, snapFileDB{Key: key, DB: db.snapshot()})
+		})
 		meta.Updates += s.updates
 		meta.Errors += s.errors
 		s.mu.Unlock()
@@ -266,11 +266,6 @@ func ReadSnapshot(r io.Reader) (*Pool, error) {
 			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&d); err != nil {
 				return nil, corruptf("database record %d: %v", count, err)
 			}
-			sk := pool.keyOf(d.Key)
-			shard := pool.shardOf(sk)
-			if _, dup := shard.dbs[sk]; dup {
-				return nil, corruptf("duplicate database %q", d.Key)
-			}
 			if err := snapshotSpecSane(d.DB.Spec); err != nil {
 				return nil, corruptf("database %q: %v", d.Key, err)
 			}
@@ -278,7 +273,9 @@ func ReadSnapshot(r io.Reader) (*Pool, error) {
 			if err != nil {
 				return nil, corruptf("database %q: %v", d.Key, err)
 			}
-			shard.dbs[sk] = db
+			if !pool.install(d.Key, db) {
+				return nil, corruptf("duplicate database %q", d.Key)
+			}
 		case recSeal:
 			if meta == nil {
 				return nil, corruptf("seal before metadata")
