@@ -58,9 +58,59 @@ func buildInstance(mode gmetad.Mode, hostsPerCluster int) (*tree.Instance, *cloc
 	return inst, clk, nil
 }
 
+// Counts is the deterministic work behind a %CPU figure: what a gmetad
+// downloaded, parsed, summarized and archived. It depends only on the
+// tree, the cluster size and the design, not on the machine or on how
+// the sources' polls overlap, so the shape checks gate on it while the
+// wall-clock %CPU is printed beside it.
+type Counts struct {
+	// Bytes is the XML downloaded and parsed per round.
+	Bytes int64
+	// Hosts is the HOST elements ingested per round, parsed or reused.
+	Hosts int64
+	// Series is the archive samples written per round: one per series,
+	// since a round is one archive step.
+	Series int64
+	// Summaries is the reductions archived each round: one per
+	// summarized cluster or child grid.
+	Summaries int64
+}
+
+// countNames names the counts the shape checks compare, in the order of
+// Counts.vector.
+var countNames = [...]string{"bytes", "hosts", "series"}
+
+func (c Counts) vector() [len(countNames)]int64 {
+	return [...]int64{c.Bytes, c.Hosts, c.Series}
+}
+
+func (c Counts) add(o Counts) Counts {
+	return Counts{c.Bytes + o.Bytes, c.Hosts + o.Hosts, c.Series + o.Series, c.Summaries + o.Summaries}
+}
+
+// lessErrors reports each count in which a is not below b; what names
+// the comparison in the messages.
+func lessErrors(what string, a, b Counts) []string {
+	var errs []string
+	av, bv := a.vector(), b.vector()
+	for i, name := range countNames {
+		if av[i] >= bv[i] {
+			errs = append(errs, fmt.Sprintf("%s: %s %d not below %d", what, name, av[i], bv[i]))
+		}
+	}
+	return errs
+}
+
+// nodeWork is one gmetad's share of a measured window: its accounted
+// work (wall clock) and its counts.
+type nodeWork struct {
+	snap   gmetad.Snapshot
+	counts Counts
+}
+
 // runWindow advances the tree through rounds polling rounds of interval
-// each, returning per-node work deltas.
-func runWindow(inst *tree.Instance, clk *clock.Virtual, rounds, warmup int, interval time.Duration) map[string]gmetad.Snapshot {
+// each, returning each node's work over the measured rounds.
+func runWindow(inst *tree.Instance, clk *clock.Virtual, rounds, warmup int, interval time.Duration) map[string]nodeWork {
 	for i := 0; i < warmup; i++ {
 		clk.Advance(interval)
 		inst.PollRound(clk.Now())
@@ -71,18 +121,35 @@ func runWindow(inst *tree.Instance, clk *clock.Virtual, rounds, warmup int, inte
 	// defaults use more.
 	runtime.GC()
 	before := make(map[string]gmetad.Snapshot)
+	written := make(map[string]uint64)
 	for name, g := range inst.Gmetads {
 		before[name] = g.Accounting().Snapshot()
+		written[name], _ = g.Pool().Stats()
 	}
 	for i := 0; i < rounds; i++ {
 		clk.Advance(interval)
 		inst.PollRound(clk.Now())
 	}
-	delta := make(map[string]gmetad.Snapshot)
+	out := make(map[string]nodeWork)
+	n := int64(rounds)
 	for name, g := range inst.Gmetads {
-		delta[name] = g.Accounting().Snapshot().Sub(before[name])
+		d := g.Accounting().Snapshot().Sub(before[name])
+		up, _ := g.Pool().Stats()
+		scopes := map[string]bool{}
+		for _, key := range g.Pool().Keys() {
+			scope, rest, _ := strings.Cut(key, "/")
+			if host, _, _ := strings.Cut(rest, "/"); host == gmetad.SummaryHost {
+				scopes[scope] = true
+			}
+		}
+		out[name] = nodeWork{snap: d, counts: Counts{
+			Bytes:     d.BytesIn / n,
+			Hosts:     (d.HostsParsed + d.HostsReused) / n,
+			Series:    int64(up-written[name]) / n,
+			Summaries: int64(len(scopes)),
+		}}
 	}
-	return delta
+	return out
 }
 
 // formatTable renders rows of columns with aligned widths.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ganglia/internal/gmetad"
+	"ganglia/internal/tree"
 	"ganglia/internal/webfront"
 )
 
@@ -33,7 +34,7 @@ func TestFig5Shape(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, tab)
 		}
 	}
-	t.Logf("\n%s", tab)
+	t.Logf("\n%s\n%s", tab, res.DetailTable())
 }
 
 func TestFig6Shape(t *testing.T) {
@@ -143,6 +144,73 @@ func TestAggregateAndRowHelpers(t *testing.T) {
 	}
 	if res.row("root") == nil || res.row("ghost") != nil {
 		t.Error("row lookup broken")
+	}
+}
+
+// TestShapeGatesOnCounts checks that the Fig 5, Fig 6 and Table 1
+// shape checks gate on counts alone: %CPU and timings that contradict
+// the paper pass when the counts hold, and the design faults the counts
+// stand for fail.
+func TestShapeGatesOnCounts(t *testing.T) {
+	topo := &tree.Topology{Root: "root", Nodes: []tree.Node{
+		{Name: "root", Children: []string{"leaf"}, Clusters: []tree.ClusterSpec{{Name: "a", Hosts: 10}}},
+		{Name: "leaf", Clusters: []tree.ClusterSpec{{Name: "b", Hosts: 10}}},
+	}}
+	fig5 := func() *Fig5Result {
+		return &Fig5Result{Topo: topo, Rows: []Fig5Row{
+			{Node: "root", OneLevel: 1, NLevel: 9, // inverted %CPU is not gated
+				OneLevelCounts: Counts{Bytes: 200, Hosts: 20, Series: 600},
+				NLevelCounts:   Counts{Bytes: 110, Hosts: 10, Series: 360, Summaries: 2}},
+			{Node: "leaf", OneLevel: 5, NLevel: 5,
+				OneLevelCounts: Counts{Bytes: 100, Hosts: 10, Series: 300},
+				NLevelCounts:   Counts{Bytes: 100, Hosts: 10, Series: 330, Summaries: 1}},
+		}}
+	}
+	if errs := fig5().ShapeErrors(); len(errs) != 0 {
+		t.Errorf("fig5 with the paper's counts: %v", errs)
+	}
+	// A 1-level root that archives only summaries keeps no more series
+	// than its child.
+	summariesOnly := fig5()
+	summariesOnly.Rows[0].OneLevelCounts.Series = 300
+	if errs := summariesOnly.ShapeErrors(); len(errs) == 0 {
+		t.Error("fig5 passed a 1-level root that archives only summaries")
+	}
+	// An N-level child that forwards full detail: its parent parses the
+	// child's hosts too.
+	forwards := fig5()
+	forwards.Rows[0].NLevelCounts.Hosts, forwards.Rows[0].NLevelCounts.Bytes = 20, 200
+	if errs := forwards.ShapeErrors(); len(errs) == 0 {
+		t.Error("fig5 passed an N-level node that forwards full detail")
+	}
+
+	fig6 := &Fig6Result{Points: []Fig6Point{
+		{ClusterSize: 10, OneLevel: 3, NLevel: 1,
+			OneLevelCounts: Counts{Bytes: 300, Hosts: 30, Series: 900},
+			NLevelCounts:   Counts{Bytes: 210, Hosts: 20, Series: 690}},
+		{ClusterSize: 20, OneLevel: 2, NLevel: 4, // inverted %CPU is not gated
+			OneLevelCounts: Counts{Bytes: 600, Hosts: 60, Series: 1800},
+			NLevelCounts:   Counts{Bytes: 410, Hosts: 40, Series: 1290}},
+	}}
+	if errs := fig6.ShapeErrors(); len(errs) != 0 {
+		t.Errorf("fig6 with the paper's counts: %v", errs)
+	}
+	fig6.Points[1].NLevelCounts.Series = 1800
+	if errs := fig6.ShapeErrors(); len(errs) != 2 {
+		t.Errorf("fig6 with N-level series equal to 1-level: errors = %v, want below and growth", errs)
+	}
+
+	table1 := &Table1Result{Rows: []Table1Row{
+		{View: webfront.MetaView, OneLevel: time.Millisecond, NLevel: time.Second, OneLevelBytes: 1000, NLevelBytes: 10},
+		{View: webfront.ClusterView, OneLevel: time.Millisecond, NLevel: time.Second, OneLevelBytes: 1000, NLevelBytes: 500},
+		{View: webfront.HostView, OneLevel: time.Millisecond, NLevel: time.Second, OneLevelBytes: 1000, NLevelBytes: 20},
+	}}
+	if errs := table1.ShapeErrors(); len(errs) != 0 {
+		t.Errorf("table1 with the paper's bytes: %v", errs)
+	}
+	table1.Rows[2].NLevelBytes = 1000 // a host page that fetches the whole tree
+	if errs := table1.ShapeErrors(); len(errs) != 3 {
+		t.Errorf("table1 with a whole-tree host page: errors = %v, want 3", errs)
 	}
 }
 

@@ -42,7 +42,7 @@ func (c *Fig5Config) defaults() {
 }
 
 // Fig5Row is one group of bars: the %CPU of one gmetad under each
-// design, with the per-phase work breakdown behind it.
+// design, with the per-phase work breakdown and the counts behind it.
 type Fig5Row struct {
 	Node     string
 	OneLevel float64
@@ -52,33 +52,26 @@ type Fig5Row struct {
 	// measurement window, for the DetailTable breakdown.
 	OneLevelWork gmetad.Snapshot
 	NLevelWork   gmetad.Snapshot
+	// OneLevelCounts and NLevelCounts are what the shape checks gate on.
+	OneLevelCounts Counts
+	NLevelCounts   Counts
 }
 
 // Fig5Result is the regenerated figure.
 type Fig5Result struct {
 	Config Fig5Config
 	Rows   []Fig5Row
-	// Leaves and NonLeaves partition the tree for shape checks.
-	Leaves    []string
-	NonLeaves []string
+	// Topo is the measured tree, for the shape checks.
+	Topo *tree.Topology
 }
 
 // RunFig5 measures per-gmetad CPU utilization in the fig-2 monitoring
 // tree for both designs.
 func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 	cfg.defaults()
-	topo := tree.FigureTwo(cfg.ClusterSize)
-	res := &Fig5Result{Config: cfg}
-	for i := range topo.Nodes {
-		if len(topo.Nodes[i].Children) == 0 {
-			res.Leaves = append(res.Leaves, topo.Nodes[i].Name)
-		} else {
-			res.NonLeaves = append(res.NonLeaves, topo.Nodes[i].Name)
-		}
-	}
-
+	res := &Fig5Result{Config: cfg, Topo: tree.FigureTwo(cfg.ClusterSize)}
 	window := time.Duration(cfg.Rounds) * cfg.PollInterval
-	work := make(map[gmetad.Mode]map[string]gmetad.Snapshot)
+	work := make(map[gmetad.Mode]map[string]nodeWork)
 	for _, mode := range []gmetad.Mode{gmetad.OneLevel, gmetad.NLevel} {
 		inst, clk, err := buildInstance(mode, cfg.ClusterSize)
 		if err != nil {
@@ -88,44 +81,50 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 		inst.Close()
 	}
 
-	for _, name := range topo.GmetadNames() {
+	for _, name := range res.Topo.GmetadNames() {
 		one, n := work[gmetad.OneLevel][name], work[gmetad.NLevel][name]
 		res.Rows = append(res.Rows, Fig5Row{
-			Node:         name,
-			OneLevel:     one.CPUPercent(window),
-			NLevel:       n.CPUPercent(window),
-			OneLevelWork: one,
-			NLevelWork:   n,
+			Node:           name,
+			OneLevel:       one.snap.CPUPercent(window),
+			NLevel:         n.snap.CPUPercent(window),
+			OneLevelWork:   one.snap,
+			NLevelWork:     n.snap,
+			OneLevelCounts: one.counts,
+			NLevelCounts:   n.counts,
 		})
 	}
 	return res, nil
 }
 
-// DetailTable breaks each node's work into processing phases,
-// explaining *why* the bars differ: the 1-level root's time goes to
-// parsing and archiving the whole cluster set; N-level non-leaves
-// barely parse at all.
+// DetailTable breaks each node's work into processing phases and
+// counts, explaining *why* the bars differ: the 1-level root's time
+// goes to parsing and archiving the whole cluster set; N-level
+// non-leaves barely parse at all.
 func (r *Fig5Result) DetailTable() string {
-	header := []string{"gmetad", "design", "parse", "summarize", "archive", "serve", "bytes-in"}
+	header := []string{"gmetad", "design", "parse", "summarize", "archive", "serve", "bytes/round", "hosts/round", "series/round", "summaries"}
 	var rows [][]string
 	fmtDur := func(d time.Duration) string { return fmt.Sprintf("%.1fms", float64(d)/1e6) }
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Node, "1-level",
-			fmtDur(row.OneLevelWork.DownloadParse),
-			fmtDur(row.OneLevelWork.Summarize),
-			fmtDur(row.OneLevelWork.Archive),
-			fmtDur(row.OneLevelWork.Serve),
-			fmt.Sprintf("%d", row.OneLevelWork.BytesIn),
-		})
-		rows = append(rows, []string{
-			"", "N-level",
-			fmtDur(row.NLevelWork.DownloadParse),
-			fmtDur(row.NLevelWork.Summarize),
-			fmtDur(row.NLevelWork.Archive),
-			fmtDur(row.NLevelWork.Serve),
-			fmt.Sprintf("%d", row.NLevelWork.BytesIn),
-		})
+		for _, d := range []struct {
+			node, design string
+			work         gmetad.Snapshot
+			counts       Counts
+		}{
+			{row.Node, "1-level", row.OneLevelWork, row.OneLevelCounts},
+			{"", "N-level", row.NLevelWork, row.NLevelCounts},
+		} {
+			rows = append(rows, []string{
+				d.node, d.design,
+				fmtDur(d.work.DownloadParse),
+				fmtDur(d.work.Summarize),
+				fmtDur(d.work.Archive),
+				fmtDur(d.work.Serve),
+				fmt.Sprintf("%d", d.counts.Bytes),
+				fmt.Sprintf("%d", d.counts.Hosts),
+				fmt.Sprintf("%d", d.counts.Series),
+				fmt.Sprintf("%d", d.counts.Summaries),
+			})
+		}
 	}
 	return fmt.Sprintf("Figure 5 phase breakdown (work over %d rounds)\n%s",
 		r.Config.Rounds, formatTable(header, rows))
@@ -157,41 +156,57 @@ func (r *Fig5Result) row(node string) *Fig5Row {
 }
 
 // ShapeErrors checks the qualitative claims of the paper's §3.3
-// discussion against the measured rows and returns any violations:
+// discussion and returns any violations. It gates on the rows' counts,
+// which follow from the tree and the design alone; %CPU, their
+// wall-clock consequence, is printed but not gated, because the
+// sources of one round are polled at once and their timings overlap.
 //
-//  1. the 1-level design concentrates load at the root of the tree
-//     (root bears the maximum 1-level load);
+//  1. the 1-level design concentrates load toward the root: every
+//     non-leaf downloads, parses and archives more than each of its
+//     children, so the root bears the most;
 //  2. the N-level design drastically reduces non-leaf load ("their
 //     load is drastically reduced compared to their 1-level
 //     counterparts");
-//  3. total work is lower under N-level ("in all data points the
+//  3. the N-level load is flat: each node parses only the hosts of its
+//     own clusters, and merges one summary per own cluster and child
+//     grid, whatever lies below it;
+//  4. total work is lower under N-level ("in all data points the
 //     aggregate CPU usage is less for the N-level monitor").
 func (r *Fig5Result) ShapeErrors() []string {
+	if r.Topo == nil {
+		return []string{"no tree"}
+	}
 	var errs []string
-	root := r.row("root")
-	if root == nil {
-		return []string{"no root row"}
-	}
-	for _, row := range r.Rows {
-		if row.Node != "root" && row.OneLevel > root.OneLevel*1.05 {
-			errs = append(errs, fmt.Sprintf(
-				"1-level load at %s (%.2f%%) exceeds root (%.2f%%): load not concentrated at root",
-				row.Node, row.OneLevel, root.OneLevel))
+	var agg1, aggN Counts
+	for i := range r.Topo.Nodes {
+		node := &r.Topo.Nodes[i]
+		row := r.row(node.Name)
+		if row == nil {
+			return []string{"no row for " + node.Name}
+		}
+		agg1, aggN = agg1.add(row.OneLevelCounts), aggN.add(row.NLevelCounts)
+		for _, child := range node.Children {
+			if c := r.row(child); c != nil { // a missing child row fails its own turn
+				errs = append(errs, lessErrors(fmt.Sprintf("1-level load not concentrated at %s over its child %s", node.Name, child),
+					c.OneLevelCounts, row.OneLevelCounts)...)
+			}
+		}
+		if len(node.Children) > 0 {
+			errs = append(errs, lessErrors("N-level did not reduce non-leaf "+node.Name,
+				row.NLevelCounts, row.OneLevelCounts)...)
+		}
+		var own int64
+		for _, c := range node.Clusters {
+			own += int64(c.Hosts)
+		}
+		if got := row.NLevelCounts.Hosts; got != own {
+			errs = append(errs, fmt.Sprintf("N-level %s parsed %d hosts a round, want its own clusters' %d", node.Name, got, own))
+		}
+		if got, want := row.NLevelCounts.Summaries, int64(len(node.Clusters)+len(node.Children)); got != want {
+			errs = append(errs, fmt.Sprintf("N-level %s archived %d summaries, want one per own cluster and child grid (%d)", node.Name, got, want))
 		}
 	}
-	for _, name := range r.NonLeaves {
-		row := r.row(name)
-		if row.NLevel >= row.OneLevel {
-			errs = append(errs, fmt.Sprintf(
-				"N-level did not reduce non-leaf %s: %.2f%% vs %.2f%%",
-				name, row.NLevel, row.OneLevel))
-		}
-	}
-	if agg1, aggN := r.Aggregate(gmetad.OneLevel), r.Aggregate(gmetad.NLevel); aggN >= agg1 {
-		errs = append(errs, fmt.Sprintf(
-			"aggregate N-level %.2f%% not below 1-level %.2f%%", aggN, agg1))
-	}
-	return errs
+	return append(errs, lessErrors("aggregate N-level load not below 1-level", aggN, agg1)...)
 }
 
 // Table renders the figure as text, bars grouped by gmetad monitor.

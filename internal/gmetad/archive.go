@@ -1,6 +1,8 @@
 package gmetad
 
 import (
+	"slices"
+	"strings"
 	"time"
 
 	"ganglia/internal/rrd"
@@ -81,19 +83,21 @@ func (g *Gmetad) archiveTree(data *sourceData, buf []rrd.Sample, now time.Time, 
 }
 
 // archiveSummary writes a reduction's SUM series (zeros when zero is
-// set) under the __summary__ pseudo-host.
+// set) under the __summary__ pseudo-host, sorted by name in buf so the
+// door's position match holds every round without an allocation.
 func (g *Gmetad) archiveSummary(scope string, s *summary.Summary, buf []rrd.Sample, now time.Time, zero bool) []rrd.Sample {
 	if s == nil {
 		return buf
 	}
 	buf = buf[:0]
-	for _, name := range s.Names() {
+	for name, m := range s.Metrics {
 		var v float64
 		if !zero {
-			v = s.Metrics[name].Sum
+			v = m.Sum
 		}
 		buf = append(buf, rrd.Sample{Metric: name, Value: v})
 	}
+	slices.SortFunc(buf, func(a, b rrd.Sample) int { return strings.Compare(a.Metric, b.Metric) })
 	_ = g.pool.UpdateHost(scope, SummaryHost, now, buf)
 	return buf
 }

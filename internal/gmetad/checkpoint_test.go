@@ -323,7 +323,7 @@ func TestCheckpointDuringUpdates(t *testing.T) {
 	path := filepath.Join(dir, "arch")
 	g := ckptGmetad(t, path, vfs.OS{})
 
-	stop := make(chan struct{})
+	stop, started := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -338,8 +338,14 @@ func TestCheckpointDuringUpdates(t *testing.T) {
 			now = now.Add(15 * time.Second)
 			_ = g.Pool().Update("c/n0/load_one", now, float64(i))
 			_ = g.Pool().Update("c/n1/cpu_idle", now, float64(-i))
+			if i == 0 {
+				close(started)
+			}
 		}
 	}()
+	// Checkpoint only once the series exist: otherwise all 25 can
+	// finish before the updater first runs and save an empty pool.
+	<-started
 	for i := 0; i < 25; i++ {
 		if err := g.Checkpoint(); err != nil {
 			t.Fatalf("checkpoint %d: %v", i, err)

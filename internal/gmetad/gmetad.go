@@ -520,40 +520,31 @@ func (g *Gmetad) Status() []SourceStatus {
 	return out
 }
 
-// PollOnce polls every source once, sequentially and deterministically;
-// the experiment harness drives rounds through it with a virtual clock.
-// Sources whose circuit breaker is open are skipped until their
-// stretched cadence comes due. When the background checkpointer is
-// configured, a due checkpoint runs after the round. Rounds must not
-// overlap: a daemon is driven by Run or by PollOnce calls from one
-// goroutine at a time (each slot's poller owns that slot's host memo).
+// PollOnce runs one polling round at now: each source is polled in its
+// own goroutine, like the threaded C implementation's poller per data
+// source, so a hung source delays only its own snapshot (bounded by
+// ReadTimeout). Sources whose circuit breaker is open are skipped until
+// their stretched cadence comes due; a due checkpoint runs after the
+// round, from the poll loop, never the serve path. Rounds must not
+// overlap: one goroutine at a time drives a daemon's rounds (each
+// slot's poller owns that slot's host memo).
 func (g *Gmetad) PollOnce(now time.Time) {
+	var wg sync.WaitGroup
 	for _, slot := range g.order {
-		g.safePoll(slot, now)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.safePoll(slot, now)
+		}()
 	}
+	wg.Wait()
 	g.maybeCheckpoint(now)
 }
 
-// Run polls all sources every PollInterval until done is closed.
-// Sources are polled concurrently, like the threaded C implementation.
+// Run runs a PollOnce round at once and then every PollInterval on the
+// configured clock until done is closed.
 func (g *Gmetad) Run(done <-chan struct{}) {
-	poll := func() {
-		var wg sync.WaitGroup
-		now := g.cfg.Clock.Now()
-		for _, slot := range g.order {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				g.safePoll(slot, now)
-			}()
-		}
-		wg.Wait()
-		// Checkpoint from the poll loop, never the serve path: the
-		// pool is snapshotted in memory briefly, then encoded and
-		// fsynced while queries keep being answered.
-		g.maybeCheckpoint(now)
-	}
-	poll()
+	g.PollOnce(g.cfg.Clock.Now())
 	t := clock.NewTicker(g.cfg.PollInterval)
 	defer t.Stop()
 	for {
@@ -561,7 +552,7 @@ func (g *Gmetad) Run(done <-chan struct{}) {
 		case <-done:
 			return
 		case <-t.C:
-			poll()
+			g.PollOnce(g.cfg.Clock.Now())
 		}
 	}
 }
